@@ -45,154 +45,162 @@ struct JobOutcome {
 enum class ClassFilter { kAll, kShort, kLong };
 enum class ConstraintFilter { kAll, kConstrained, kUnconstrained };
 
-/// Scheduler-internal counters (Table III and overhead accounting).
+/// Scheduler-internal counters (Table III and overhead accounting), as one
+/// X-macro list of (type, name): the struct below, runner::AggregateCounters
+/// and the counter tests all expand it, so add a counter by adding one line
+/// to the list.
+#define PHOENIX_SCHEDULER_COUNTERS(X)                                        \
+  X(std::uint64_t, probes_sent)                                              \
+  X(std::uint64_t, probes_cancelled)                                         \
+  X(std::uint64_t, tasks_reordered_crv)                                      \
+  X(std::uint64_t, tasks_reordered_srpt)                                     \
+  X(std::uint64_t, tasks_stolen)                                             \
+  X(std::uint64_t, soft_constraints_relaxed)                                 \
+  X(std::uint64_t, tasks_admission_rejected)                                 \
+  X(std::uint64_t, heartbeats)                                               \
+  X(std::uint64_t, crv_reorder_rounds)                                       \
+  /* Spread-preference jobs that had to double up on a rack. */              \
+  X(std::uint64_t, placement_spread_violations)                              \
+  /* Colocate-preference tasks that landed off the job's anchor rack. */     \
+  X(std::uint64_t, placement_colocate_misses)                                \
+  /* Probes declined at resolution to preserve a spread preference. */       \
+  X(std::uint64_t, probes_declined_placement)                                \
+  /* Machine failures injected and tasks rescheduled because of them. */     \
+  X(std::uint64_t, machine_failures)                                         \
+  X(std::uint64_t, tasks_rescheduled_failure)                                \
+  /* Probes that lost their worker to a failure and were re-sent. */         \
+  X(std::uint64_t, probes_bounced)                                           \
+  /* Sticky-batch fetches interrupted by a failure and re-covered with a     \
+     fresh dispatch (the guard against stranding the fetched job). */        \
+  X(std::uint64_t, sticky_fetch_redispatches)                                \
+  /* Centralized placements where every sampled candidate was down and the   \
+     binding fell back to a fresh draw from the satisfying pool. */          \
+  X(std::uint64_t, placement_dead_fallbacks)                                 \
+  /* Control-plane fabric accounting (src/net). All zero under the default   \
+     zero-chaos fabric, whose fast path does no per-message bookkeeping. */  \
+  X(std::uint64_t, net_messages_sent)                                        \
+  X(std::uint64_t, net_messages_dropped)                                     \
+  X(std::uint64_t, net_messages_duplicated)                                  \
+  X(std::uint64_t, net_messages_expired)                                     \
+  X(std::uint64_t, rpc_retries)                                              \
+  X(std::uint64_t, rpc_failures)                                             \
+  /* Elastic cluster lifecycle (src/elastic). All zero on a static fleet. */ \
+  X(std::uint64_t, elastic_provisions)                                       \
+  X(std::uint64_t, elastic_commissions)                                      \
+  X(std::uint64_t, elastic_drains)                                           \
+  X(std::uint64_t, elastic_retires_graceful)                                 \
+  X(std::uint64_t, elastic_retires_forced)                                   \
+  /* Transient leases reclaimed by the stochastic reclamation stream. */     \
+  X(std::uint64_t, elastic_reclamations)                                     \
+  /* Queued/running work evicted by forced retires and redispatched. */      \
+  X(std::uint64_t, elastic_tasks_redispatched)                               \
+  /* Controller policy decisions (a decision may move several machines). */  \
+  X(std::uint64_t, elastic_scale_up_decisions)                               \
+  X(std::uint64_t, elastic_scale_down_decisions)                             \
+  /* Scale-ups whose machine choice was steered by the CRV supply shaper. */ \
+  X(std::uint64_t, elastic_crv_shaped_picks)                                 \
+  /* Seconds spent warming machines up, and the subset wasted on leases      \
+     that retired without ever starting a task. */                           \
+  X(double, elastic_warmup_seconds)                                          \
+  X(double, elastic_wasted_warmup_seconds)                                   \
+  /* Multi-tenant scheduling (src/tenancy). All zero when no tenants are     \
+     configured. */                                                          \
+  X(std::uint64_t, tenant_admits)                                            \
+  X(std::uint64_t, tenant_downgrades)                                        \
+  X(std::uint64_t, tenant_rejects)                                           \
+  X(std::uint64_t, tenant_slo_jobs)                                          \
+  X(std::uint64_t, tenant_slo_attained)                                      \
+  X(std::uint64_t, tenant_slo_at_risk)                                       \
+  /* Queue picks where a higher class overrode the discipline's choice. */   \
+  X(std::uint64_t, tenant_priority_promotions)                               \
+  X(std::uint64_t, preemptions_issued)                                       \
+  X(std::uint64_t, preemption_requeues)                                      \
+  /* Preemptions refused because the victim was bypass-exhausted (the        \
+     Slack_threshold starvation guard) or already at the preemption cap. */  \
+  X(std::uint64_t, preemptions_blocked_guard)                                \
+  X(std::uint64_t, preemptions_blocked_cap)                                  \
+  /* Preemptions refused because the machine left the bindable fleet         \
+     (draining/retired): its slot work belongs to the drain sweep alone. */  \
+  X(std::uint64_t, preemptions_blocked_lifecycle)                            \
+  /* Modeled restart cost paid by preempted tasks, and service seconds       \
+     thrown away at their kills. */                                          \
+  X(double, preemption_restart_seconds)                                      \
+  X(double, preemption_lost_seconds)                                         \
+  /* Sharded control plane (src/federation). All zero with --shards=1.       \
+     Gossip digests sent / applied / discarded as out-of-order stale. */     \
+  X(std::uint64_t, fed_gossip_published)                                     \
+  X(std::uint64_t, fed_gossip_applied)                                       \
+  X(std::uint64_t, fed_gossip_stale_dropped)                                 \
+  /* Jobs steered off their home shard on a fresh peer view, and offload     \
+     decisions blocked because every candidate peer view was stale. */       \
+  X(std::uint64_t, fed_offloads)                                             \
+  X(std::uint64_t, fed_offloads_blocked_stale)                               \
+  /* Probes landing outside the job's home territory. */                     \
+  X(std::uint64_t, fed_cross_shard_probes)                                   \
+  /* Optimistic cross-shard binds: sent, accepted at a genuinely free slot,  \
+     rejected by double-bind detection (requeued via redispatch). */         \
+  X(std::uint64_t, fed_bind_attempts)                                        \
+  X(std::uint64_t, fed_bind_accepts)                                         \
+  X(std::uint64_t, fed_bind_rejects)                                         \
+  /* Constrained placements whose satisfying pool missed the target          \
+     territory and fell back to a global draw. */                            \
+  X(std::uint64_t, fed_territory_fallbacks)                                  \
+  /* Energy/power management (src/power). All zero without a power model. */ \
+  X(std::uint64_t, power_parks)                                              \
+  X(std::uint64_t, power_wakes)                                              \
+  /* Wakes forced by a placement that found every satisfying machine         \
+     asleep (the dispatch-time CRV demand signal; also counted in            \
+     power_wakes). */                                                        \
+  X(std::uint64_t, power_demand_wakes)                                       \
+  /* DVFS steps: raises go toward P0 (faster/hungrier), lowers away. */      \
+  X(std::uint64_t, power_dvfs_raises)                                        \
+  X(std::uint64_t, power_dvfs_lowers)                                        \
+  /* Parks the controller refused: coverage guard (the last awake machine    \
+     satisfying a hot CRV predicate) and the min-active floor. */            \
+  X(std::uint64_t, power_park_vetoes_coverage)                               \
+  X(std::uint64_t, power_park_vetoes_floor)                                  \
+  /* Controller ticks that issued at least one wake. */                      \
+  X(std::uint64_t, power_wake_decisions)                                     \
+  /* Drained machines the elastic controller parked instead of retiring. */  \
+  X(std::uint64_t, power_parks_instead_of_retire)                            \
+  /* Multi-resource packing (src/packing). All zero with --packing off.      \
+     Task executions started against a residual-capacity ledger. */          \
+  X(std::uint64_t, packed_tasks)                                             \
+  /* Probe resolutions / deliveries refused because the demand no longer     \
+     fit the residual vector (the probe re-routes, nothing strands). */      \
+  X(std::uint64_t, pack_fit_rejections)                                      \
+  /* Jobs whose hashed demand exceeded every machine's capacity and was      \
+     clamped to the fleet max (the reject-then-renegotiate path). */         \
+  X(std::uint64_t, pack_demand_clamped)                                      \
+  /* Gang scheduling: placements attempted, reservation rounds committed /   \
+     aborted, and attempts deferred for lack of free capacity. */            \
+  X(std::uint64_t, gangs_placed)                                             \
+  X(std::uint64_t, gang_commits)                                             \
+  X(std::uint64_t, gang_aborts)                                              \
+  X(std::uint64_t, gang_retry_waits)                                         \
+  /* Gangs no empty eligible fleet could co-host, degraded to non-atomic     \
+     placement (the liveness escape from the retry loop). */                 \
+  X(std::uint64_t, gangs_degraded)                                           \
+  /* Malleable jobs: arrivals, width expansions / shrinks, and ticks a       \
+     job's width sat clamped at its minimum parallelism. */                  \
+  X(std::uint64_t, malleable_jobs)                                           \
+  X(std::uint64_t, malleable_expands)                                        \
+  X(std::uint64_t, malleable_shrinks)                                        \
+  X(std::uint64_t, malleable_min_hits)                                       \
+  /* DAG workflows and deadline scheduling (src/workflow). All zero with     \
+     --dag/--deadline off. dag_tasks_released counts kDagRelease events      \
+     (ready tasks handed to the dispatch path); deadline_promotions counts   \
+     queue picks where the EDF tie-break overrode the discipline's choice. */ \
+  X(std::uint64_t, dag_jobs)                                                 \
+  X(std::uint64_t, dag_tasks_released)                                       \
+  X(std::uint64_t, deadline_jobs)                                            \
+  X(std::uint64_t, deadline_misses)                                          \
+  X(std::uint64_t, deadline_promotions)
+
 struct SchedulerCounters {
-  std::uint64_t probes_sent = 0;
-  std::uint64_t probes_cancelled = 0;
-  std::uint64_t tasks_reordered_crv = 0;
-  std::uint64_t tasks_reordered_srpt = 0;
-  std::uint64_t tasks_stolen = 0;
-  std::uint64_t soft_constraints_relaxed = 0;
-  std::uint64_t tasks_admission_rejected = 0;
-  std::uint64_t heartbeats = 0;
-  std::uint64_t crv_reorder_rounds = 0;
-  /// Spread-preference jobs that had to double up on a rack.
-  std::uint64_t placement_spread_violations = 0;
-  /// Colocate-preference tasks that landed off the job's anchor rack.
-  std::uint64_t placement_colocate_misses = 0;
-  /// Probes declined at resolution to preserve a spread preference.
-  std::uint64_t probes_declined_placement = 0;
-  /// Machine failures injected and tasks rescheduled because of them.
-  std::uint64_t machine_failures = 0;
-  std::uint64_t tasks_rescheduled_failure = 0;
-  /// Probes that lost their worker to a failure and were re-sent.
-  std::uint64_t probes_bounced = 0;
-  /// Sticky-batch fetches interrupted by a failure and re-covered with a
-  /// fresh dispatch (the guard against stranding the fetched job).
-  std::uint64_t sticky_fetch_redispatches = 0;
-  /// Centralized placements where every sampled candidate was down and the
-  /// binding fell back to a fresh draw from the satisfying pool.
-  std::uint64_t placement_dead_fallbacks = 0;
-  /// Control-plane fabric accounting (src/net). All zero under the default
-  /// zero-chaos fabric, whose fast path does no per-message bookkeeping.
-  std::uint64_t net_messages_sent = 0;
-  std::uint64_t net_messages_dropped = 0;
-  std::uint64_t net_messages_duplicated = 0;
-  std::uint64_t net_messages_expired = 0;
-  std::uint64_t rpc_retries = 0;
-  std::uint64_t rpc_failures = 0;
-  /// Elastic cluster lifecycle (src/elastic). All zero on a static fleet.
-  std::uint64_t elastic_provisions = 0;
-  std::uint64_t elastic_commissions = 0;
-  std::uint64_t elastic_drains = 0;
-  std::uint64_t elastic_retires_graceful = 0;
-  std::uint64_t elastic_retires_forced = 0;
-  /// Transient leases reclaimed by the stochastic reclamation stream.
-  std::uint64_t elastic_reclamations = 0;
-  /// Queued/running work evicted by forced retires and redispatched.
-  std::uint64_t elastic_tasks_redispatched = 0;
-  /// Controller policy decisions (a decision may move several machines).
-  std::uint64_t elastic_scale_up_decisions = 0;
-  std::uint64_t elastic_scale_down_decisions = 0;
-  /// Scale-ups whose machine choice was steered by the CRV supply shaper.
-  std::uint64_t elastic_crv_shaped_picks = 0;
-  /// Seconds spent warming machines up, and the subset wasted on leases
-  /// that retired without ever starting a task.
-  double elastic_warmup_seconds = 0;
-  double elastic_wasted_warmup_seconds = 0;
-  /// Multi-tenant scheduling (src/tenancy). All zero when no tenants are
-  /// configured.
-  std::uint64_t tenant_admits = 0;
-  std::uint64_t tenant_downgrades = 0;
-  std::uint64_t tenant_rejects = 0;
-  std::uint64_t tenant_slo_jobs = 0;
-  std::uint64_t tenant_slo_attained = 0;
-  std::uint64_t tenant_slo_at_risk = 0;
-  /// Queue picks where a higher class overrode the discipline's choice.
-  std::uint64_t tenant_priority_promotions = 0;
-  std::uint64_t preemptions_issued = 0;
-  std::uint64_t preemption_requeues = 0;
-  /// Preemptions refused because the victim was bypass-exhausted (the
-  /// Slack_threshold starvation guard) or already at the preemption cap.
-  std::uint64_t preemptions_blocked_guard = 0;
-  std::uint64_t preemptions_blocked_cap = 0;
-  /// Preemptions refused because the machine left the bindable fleet
-  /// (draining/retired): its slot work belongs to the drain sweep alone.
-  std::uint64_t preemptions_blocked_lifecycle = 0;
-  /// Modeled restart cost paid by preempted tasks, and service seconds
-  /// thrown away at their kills.
-  double preemption_restart_seconds = 0;
-  double preemption_lost_seconds = 0;
-  /// Sharded control plane (src/federation). All zero with --shards=1.
-  /// Gossip digests sent / applied / discarded as out-of-order stale.
-  std::uint64_t fed_gossip_published = 0;
-  std::uint64_t fed_gossip_applied = 0;
-  std::uint64_t fed_gossip_stale_dropped = 0;
-  /// Jobs steered off their home shard on a fresh peer view, and offload
-  /// decisions blocked because every candidate peer view was stale.
-  std::uint64_t fed_offloads = 0;
-  std::uint64_t fed_offloads_blocked_stale = 0;
-  /// Probes landing outside the job's home territory.
-  std::uint64_t fed_cross_shard_probes = 0;
-  /// Optimistic cross-shard binds: sent, accepted at a genuinely free slot,
-  /// rejected by double-bind detection (requeued via redispatch).
-  std::uint64_t fed_bind_attempts = 0;
-  std::uint64_t fed_bind_accepts = 0;
-  std::uint64_t fed_bind_rejects = 0;
-  /// Constrained placements whose satisfying pool missed the target
-  /// territory and fell back to a global draw.
-  std::uint64_t fed_territory_fallbacks = 0;
-  /// Energy/power management (src/power). All zero without a power model.
-  std::uint64_t power_parks = 0;
-  std::uint64_t power_wakes = 0;
-  /// Wakes forced by a placement that found every satisfying machine
-  /// asleep (the dispatch-time CRV demand signal; also counted in
-  /// power_wakes).
-  std::uint64_t power_demand_wakes = 0;
-  /// DVFS steps: raises go toward P0 (faster/hungrier), lowers away.
-  std::uint64_t power_dvfs_raises = 0;
-  std::uint64_t power_dvfs_lowers = 0;
-  /// Parks the controller refused: coverage guard (the last awake machine
-  /// satisfying a hot CRV predicate) and the min-active floor.
-  std::uint64_t power_park_vetoes_coverage = 0;
-  std::uint64_t power_park_vetoes_floor = 0;
-  /// Controller ticks that issued at least one wake.
-  std::uint64_t power_wake_decisions = 0;
-  /// Drained machines the elastic controller parked instead of retiring.
-  std::uint64_t power_parks_instead_of_retire = 0;
-  /// Multi-resource packing (src/packing). All zero with --packing off.
-  /// Task executions started against a residual-capacity ledger.
-  std::uint64_t packed_tasks = 0;
-  /// Probe resolutions / deliveries refused because the demand no longer
-  /// fit the residual vector (the probe re-routes, nothing strands).
-  std::uint64_t pack_fit_rejections = 0;
-  /// Jobs whose hashed demand exceeded every machine's capacity and was
-  /// clamped to the fleet max (the reject-then-renegotiate path).
-  std::uint64_t pack_demand_clamped = 0;
-  /// Gang scheduling: placements attempted, reservation rounds committed /
-  /// aborted, and attempts deferred for lack of free capacity.
-  std::uint64_t gangs_placed = 0;
-  std::uint64_t gang_commits = 0;
-  std::uint64_t gang_aborts = 0;
-  std::uint64_t gang_retry_waits = 0;
-  /// Gangs no empty eligible fleet could co-host, degraded to non-atomic
-  /// placement (the liveness escape from the retry loop).
-  std::uint64_t gangs_degraded = 0;
-  /// Malleable jobs: arrivals, width expansions / shrinks, and ticks a
-  /// job's width sat clamped at its minimum parallelism.
-  std::uint64_t malleable_jobs = 0;
-  std::uint64_t malleable_expands = 0;
-  std::uint64_t malleable_shrinks = 0;
-  std::uint64_t malleable_min_hits = 0;
-  /// DAG workflows and deadline scheduling (src/workflow). All zero with
-  /// --dag/--deadline off. dag_tasks_released counts kDagRelease events
-  /// (ready tasks handed to the dispatch path); deadline_promotions counts
-  /// queue picks where the EDF tie-break overrode the discipline's choice.
-  std::uint64_t dag_jobs = 0;
-  std::uint64_t dag_tasks_released = 0;
-  std::uint64_t deadline_jobs = 0;
-  std::uint64_t deadline_misses = 0;
-  std::uint64_t deadline_promotions = 0;
+#define PHOENIX_DECLARE_COUNTER(type, name) type name = 0;
+  PHOENIX_SCHEDULER_COUNTERS(PHOENIX_DECLARE_COUNTER)
+#undef PHOENIX_DECLARE_COUNTER
 };
 
 /// Per-tenant outcome slice (empty unless the run configured tenants).

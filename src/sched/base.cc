@@ -21,6 +21,21 @@ using cluster::MachineId;
 using obs::EventType;
 using trace::JobId;
 
+namespace {
+
+// Capacity volume with every dimension normalized by the fleet maximum:
+// the size order that picks demand-clamp targets.
+double NormalizedVolume(const packing::ResourceVector& capacity,
+                        const packing::ResourceVector& max) {
+  double volume = 0;
+  for (std::size_t d = 0; d < packing::kNumPackDims; ++d) {
+    if (max.dim(d) > 0) volume += capacity.dim(d) / max.dim(d);
+  }
+  return volume;
+}
+
+}  // namespace
+
 SchedulerBase::SchedulerBase(sim::Engine& engine,
                              const cluster::Cluster& cluster,
                              const SchedulerConfig& config)
@@ -53,12 +68,7 @@ SchedulerBase::SchedulerBase(sim::Engine& engine,
       WorkerState& w = workers_[i];
       w.capacity = cluster::CapacityOf(cluster.machine(i));
       w.residual = w.capacity;
-      double volume = 0;
-      for (std::size_t d = 0; d < packing::kNumPackDims; ++d) {
-        if (max_capacity_.dim(d) > 0) {
-          volume += w.capacity.dim(d) / max_capacity_.dim(d);
-        }
-      }
+      const double volume = NormalizedVolume(w.capacity, max_capacity_);
       if (volume > best_volume) {
         best_volume = volume;
         clamp_capacity_ = w.capacity;
@@ -113,6 +123,12 @@ void SchedulerBase::AccrueInService() {
   last_membership_change_ = engine_.Now();
 }
 
+void SchedulerBase::ClearLoadSignals(WorkerState& worker) {
+  worker.estimator.Clear();
+  worker.last_wait_estimate = 0;
+  worker.crv_marked = false;
+}
+
 void SchedulerBase::ProvisionMachine(MachineId id, double warmup_delay) {
   PHOENIX_CHECK_MSG(membership_ != nullptr,
                     "lifecycle actuators need a membership view");
@@ -146,9 +162,7 @@ void SchedulerBase::CommissionMachine(MachineId id) {
   // A fresh lease starts with clean load signals: whatever a previous lease
   // taught the estimator (or a stale congestion mark) no longer describes
   // this machine.
-  w.estimator.Clear();
-  w.last_wait_estimate = 0;
-  w.crv_marked = false;
+  ClearLoadSignals(w);
   TryStartNext(w);
 }
 
@@ -193,14 +207,7 @@ bool SchedulerBase::RetireMachine(MachineId id, bool force) {
     counters_.elastic_tasks_redispatched +=
         w.queue.size() + (w.running_job != trace::kInvalidJob ? 1 : 0) +
         w.run_list.size();
-    EvictSlotWork(w, /*kill_running=*/true);
-    if (packing_on_) {
-      EvictPackedRuns(w);
-      EvictGangReservations(w);
-    }
-    while (!w.queue.empty()) {
-      BounceUndelivered(RemoveQueueAt(w, w.queue.size() - 1), id, one_way());
-    }
+    EvictAllWork(w);
   }
   AccrueInService();
   PHOENIX_CHECK(in_service_count_ > 0);
@@ -212,9 +219,7 @@ bool SchedulerBase::RetireMachine(MachineId id, bool force) {
     ++counters_.elastic_retires_graceful;
   }
   Emit(EventType::kMachineRetire, obs::kNoId, id, obs::kNoId, force ? 1 : 0);
-  w.estimator.Clear();
-  w.last_wait_estimate = 0;
-  w.crv_marked = false;
+  ClearLoadSignals(w);
   w.steal_inflight = false;
   return true;
 }
@@ -250,10 +255,8 @@ bool SchedulerBase::ParkMachine(MachineId id) {
   // A parked machine still advertises wake-penalized supply: the cleared
   // estimator reads exactly the wake penalty, so probe targeting and the
   // elastic controller see "available, but at wake cost".
-  w.estimator.Clear();
+  ClearLoadSignals(w);
   w.estimator.SetWakePenalty(power_->WakePenalty(id));
-  w.last_wait_estimate = 0;
-  w.crv_marked = false;
   w.steal_inflight = false;
   return true;
 }
@@ -512,12 +515,14 @@ MachineId SchedulerBase::PickLeastLoadedLive(
   // Every sampled candidate is down: fall back to a fresh draw from the
   // eligible pool (the delivery bounce re-dispatches again if that one is
   // down too) instead of knowingly binding to a dead worker.
-  if (best == cluster::kInvalidMachine) {
-    best = SampleEligible(job.effective);
-    PHOENIX_CHECK(best != cluster::kInvalidMachine);
-    ++counters_.placement_dead_fallbacks;
-  }
-  return best;
+  return best != cluster::kInvalidMachine ? best : DeadPoolFallback(job);
+}
+
+MachineId SchedulerBase::DeadPoolFallback(JobRuntime& job) {
+  ++counters_.placement_dead_fallbacks;
+  const MachineId fallback = SampleEligible(job.effective);
+  PHOENIX_CHECK(fallback != cluster::kInvalidMachine);
+  return fallback;
 }
 
 void SchedulerBase::RedispatchEntry(QueueEntry entry, double delay) {
@@ -534,11 +539,75 @@ void SchedulerBase::RedispatchEntry(QueueEntry entry, double delay) {
   }
   // Bound task: re-bind to the least-loaded live satisfying worker (best
   // vector-packing fit under packing).
-  const MachineId best = packing_on_
-                             ? PickBestPacked(ChooseLongCandidates(job), job)
-                             : PickLeastLoadedLive(ChooseLongCandidates(job),
-                                                   job);
-  SendEntry(best, entry, std::max(delay, 2 * one_way()));
+  SendEntry(PickBindTarget(ChooseLongCandidates(job), job), entry,
+            std::max(delay, 2 * one_way()));
+}
+
+MachineId SchedulerBase::PickBindTarget(
+    const std::vector<MachineId>& candidates, JobRuntime& job) {
+  return packing_on_ ? PickBestPacked(candidates, job)
+                     : PickLeastLoadedLive(candidates, job);
+}
+
+void SchedulerBase::BindTask(JobRuntime& job, std::uint32_t task_index,
+                             std::vector<MachineId> candidates,
+                             std::uint32_t home_shard) {
+  PHOENIX_CHECK_MSG(!candidates.empty(),
+                    "admission control must leave a satisfiable pool");
+  FilterByPlacement(job, candidates);
+  // Least-loaded live candidate (best vector fit under packing), or a fresh
+  // pool draw when every candidate is down (never a known-dead bind).
+  const MachineId best = PickBindTarget(candidates, job);
+  NoteRackCommitment(job, cluster_.rack_of(best));
+  QueueEntry entry = MakeEntry(job, QueueEntry::Kind::kBoundTask, task_index);
+  if (home_shard != federation::kNoShard &&
+      federation_->shard_of(best) != home_shard) {
+    entry.cross_shard = true;
+    ++counters_.fed_bind_attempts;
+    Emit(EventType::kFedBindSend, job.id, best, task_index);
+  }
+  SendEntry(best, entry, one_way());
+}
+
+QueueEntry SchedulerBase::MakeEntry(const JobRuntime& job,
+                                    QueueEntry::Kind kind,
+                                    std::uint32_t task_index) const {
+  QueueEntry entry;
+  entry.kind = kind;
+  entry.job = job.id;
+  entry.task_index = task_index;
+  entry.est_duration = EstimatedTaskDuration(job);
+  entry.short_class = job.short_class;
+  return entry;
+}
+
+bool SchedulerBase::ReplaysAsProbe(const JobRuntime& job) const {
+  return UsesDistributedPlane(job) && !DagManaged(job) &&
+         !(packing_on_ && (job.gang() || job.malleable()));
+}
+
+QueueEntry SchedulerBase::LostWorkEntry(JobRuntime& job) {
+  return ReplaysAsProbe(job)
+             ? MakeEntry(job, QueueEntry::Kind::kProbe)
+             : MakeEntry(job, QueueEntry::Kind::kBoundTask,
+                         TakeNextTaskIndex(job));
+}
+
+void SchedulerBase::ReplayKilledTask(const WorkerState& worker,
+                                     JobRuntime& job,
+                                     std::uint32_t task_index) {
+  job.replay_tasks.push_back(task_index);
+  Emit(EventType::kTaskKill, job.id, worker.id, task_index);
+  RedispatchEntry(LostWorkEntry(job), one_way());
+}
+
+void SchedulerBase::RecoverStickyFetch(JobRuntime& job) {
+  // The fetched job's sibling probes may all have resolved, dissolved, or
+  // died with other machines by now, so leftover coverage cannot be
+  // assumed: re-cover the job with a fresh dispatch.
+  if (job.AllPlaced()) return;
+  ++counters_.sticky_fetch_redispatches;
+  RedispatchEntry(LostWorkEntry(job), one_way());
 }
 
 void SchedulerBase::EvictSlotWork(WorkerState& worker, bool kill_running) {
@@ -546,74 +615,40 @@ void SchedulerBase::EvictSlotWork(WorkerState& worker, bool kill_running) {
   if (worker.running_job != trace::kInvalidJob && !kill_running) return;
   // Kill the in-flight slot event (probe resolution, sticky fetch, or task
   // completion) and recover its work.
-  {
-    CancelSlotEvent(worker);
-    if (power_ != nullptr) {
-      // Idempotent: only a genuinely executing slot drops back to idle watts
-      // (a fetch- or resolve-held slot never raised them).
-      const double watts = power_->OnExecEnd(worker.id, engine_.Now());
-      if (watts >= 0) {
-        Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
-      }
-    }
-    if (worker.running_job != trace::kInvalidJob) {
-      // Running task is lost: un-count its unfinished service and replay it.
-      JobRuntime& job = jobs_[worker.running_job];
-      total_busy_time_ -= std::max(0.0, worker.busy_until - engine_.Now());
-      job.replay_tasks.push_back(worker.running_index);
-      Emit(EventType::kTaskKill, job.id, worker.id, worker.running_index);
-      ++counters_.tasks_rescheduled_failure;
-      // A DAG job's replay must re-bind, never probe: a late-binding probe
-      // could fetch an unreleased task. The replayed index itself already
-      // ran, so its predecessors are finished and the re-bind is legal.
-      if (UsesDistributedPlane(job) && !DagManaged(job)) {
-        QueueEntry probe;
-        probe.kind = QueueEntry::Kind::kProbe;
-        probe.job = job.id;
-        probe.est_duration = EstimatedTaskDuration(job);
-        probe.short_class = job.short_class;
-        RedispatchEntry(probe, one_way());
-        --counters_.tasks_rescheduled_failure;  // RedispatchEntry counted too
-      } else {
-        QueueEntry bound;
-        bound.kind = QueueEntry::Kind::kBoundTask;
-        bound.job = job.id;
-        bound.task_index = TakeNextTaskIndex(job);
-        bound.est_duration = EstimatedTaskDuration(job);
-        bound.short_class = job.short_class;
-        RedispatchEntry(bound, one_way());
-        --counters_.tasks_rescheduled_failure;
-      }
-      worker.running_job = trace::kInvalidJob;
-    } else if (worker.resolving) {
-      // The probe being resolved never took a task; send it elsewhere.
-      BounceUndelivered(worker.resolving_entry, worker.id, one_way());
-    } else if (worker.fetching_job != trace::kInvalidJob) {
-      // A sticky-batch fetch was in flight: the slot held no task yet.
-      // Re-cover the fetched job directly — its sibling probes may all
-      // have resolved, dissolved, or died with other machines by now, so
-      // leftover coverage cannot be assumed.
-      JobRuntime& job = jobs_[worker.fetching_job];
-      if (!job.AllPlaced()) {
-        ++counters_.sticky_fetch_redispatches;
-        QueueEntry entry;
-        entry.job = job.id;
-        entry.est_duration = EstimatedTaskDuration(job);
-        entry.short_class = job.short_class;
-        if (UsesDistributedPlane(job)) {
-          entry.kind = QueueEntry::Kind::kProbe;
-        } else {
-          entry.kind = QueueEntry::Kind::kBoundTask;
-          entry.task_index = TakeNextTaskIndex(job);
-        }
-        RedispatchEntry(entry, one_way());
-      }
-    }
-    worker.fetching_job = trace::kInvalidJob;
-    worker.resolving = false;
-    worker.busy = false;
+  CancelSlotEvent(worker);
+  // Idempotent: only a genuinely executing slot drops back to idle watts (a
+  // fetch- or resolve-held slot never raised them).
+  MeterExecEnd(worker.id);
+  if (worker.running_job != trace::kInvalidJob) {
+    // Running task is lost: un-count its unfinished service and replay it.
+    total_busy_time_ -= std::max(0.0, worker.busy_until - engine_.Now());
+    ReplayKilledTask(worker, jobs_[worker.running_job], worker.running_index);
+    worker.running_job = trace::kInvalidJob;
+  } else if (worker.resolving) {
+    // The probe being resolved never took a task; send it elsewhere.
+    BounceUndelivered(worker.resolving_entry, worker.id, one_way());
+  } else if (worker.fetching_job != trace::kInvalidJob) {
+    // A sticky-batch fetch was in flight: the slot held no task yet.
+    RecoverStickyFetch(jobs_[worker.fetching_job]);
   }
+  worker.fetching_job = trace::kInvalidJob;
+  worker.resolving = false;
+  worker.busy = false;
   RefreshLongBusy(worker);
+}
+
+void SchedulerBase::EvictAllWork(WorkerState& worker) {
+  EvictSlotWork(worker, /*kill_running=*/true);
+  if (packing_on_) {
+    EvictPackedRuns(worker);
+    EvictGangReservations(worker);
+  }
+  // Drain the queue, re-dispatching every entry to live workers (stale
+  // probes dissolve inside BounceUndelivered).
+  while (!worker.queue.empty()) {
+    BounceUndelivered(RemoveQueueAt(worker, worker.queue.size() - 1),
+                      worker.id, one_way());
+  }
 }
 
 void SchedulerBase::RefreshLongBusy(const WorkerState& worker) {
@@ -635,18 +670,7 @@ void SchedulerBase::FailMachine(WorkerState& worker, bool auto_repair) {
   ++counters_.machine_failures;
   Emit(EventType::kMachineFail, obs::kNoId, worker.id);
 
-  EvictSlotWork(worker, /*kill_running=*/true);
-  if (packing_on_) {
-    EvictPackedRuns(worker);
-    EvictGangReservations(worker);
-  }
-
-  // Drain the queue, re-dispatching every entry to live workers (stale
-  // probes dissolve inside BounceUndelivered).
-  while (!worker.queue.empty()) {
-    BounceUndelivered(RemoveQueueAt(worker, worker.queue.size() - 1),
-                      worker.id, one_way());
-  }
+  EvictAllWork(worker);
 
   // Repair and the next failure cycle (stochastic injection only; manual
   // InjectFailure leaves repair timing to the caller).
@@ -663,12 +687,11 @@ void SchedulerBase::RepairMachine(WorkerState& worker) {
   PHOENIX_CHECK(worker.failed);
   worker.failed = false;
   worker.steal_inflight = false;
-  worker.estimator.Clear();
-  // The congestion marking predates the failure; everything it summarized
-  // was killed or re-dispatched, so carrying it over would skew wait-aware
-  // probe ranking and CRV reordering until the next heartbeat.
-  worker.last_wait_estimate = 0;
-  worker.crv_marked = false;
+  // The estimator and congestion marking predate the failure; everything
+  // they summarized was killed or re-dispatched, so carrying them over would
+  // skew wait-aware probe ranking and CRV reordering until the next
+  // heartbeat.
+  ClearLoadSignals(worker);
   Emit(EventType::kMachineRepair, obs::kNoId, worker.id);
   TryStartNext(worker);
   if (config_.machine_mtbf > 0 && !AllJobsDone()) {
@@ -1006,14 +1029,16 @@ void SchedulerBase::PreemptRunning(WorkerState& worker) {
   const sim::SimTime now = engine_.Now();
   const double remaining = std::max(0.0, worker.busy_until - now);
   const double elapsed = std::max(0.0, now - worker.running_start);
-  const std::uint32_t index = worker.running_index;
   CancelSlotEvent(worker);
-  if (power_ != nullptr) {
-    const double watts = power_->OnExecEnd(worker.id, now);
-    if (watts >= 0) {
-      Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
-    }
-  }
+  MeterExecEnd(worker.id);
+  worker.running_job = trace::kInvalidJob;
+  worker.busy = false;
+  RequeuePreempted(worker, victim, worker.running_index, elapsed, remaining);
+}
+
+void SchedulerBase::RequeuePreempted(WorkerState& worker, JobRuntime& victim,
+                                     std::uint32_t task_index, double elapsed,
+                                     double remaining) {
   // The machine was genuinely busy for `elapsed`; only the unserved
   // remainder leaves the busy-time integral. The served part is wasted work.
   total_busy_time_ -= remaining;
@@ -1025,32 +1050,19 @@ void SchedulerBase::PreemptRunning(WorkerState& worker) {
   }
   // The auditor counts the issue as a kill; the matching requeue below keeps
   // its preemption-conservation set balanced.
-  Emit(EventType::kPreemptIssue, victim.id, worker.id, index, elapsed);
-  worker.running_job = trace::kInvalidJob;
-  worker.busy = false;
-
-  // Requeue on the same worker. Kill and requeue are one local control
-  // action — no message transits the fabric — so chaos injection cannot
-  // strand a preempted task.
-  QueueEntry entry;
-  entry.kind = QueueEntry::Kind::kBoundTask;
-  entry.job = victim.id;
-  entry.task_index = index;
-  entry.est_duration = EstimatedTaskDuration(victim);
-  entry.enqueue_time = now;
-  entry.short_class = victim.short_class;
+  Emit(EventType::kPreemptIssue, victim.id, worker.id, task_index, elapsed);
+  // Requeue on the same worker with the modeled restart cost. Kill and
+  // requeue are one local control action — no message transits the fabric —
+  // so chaos injection cannot strand a preempted task.
+  QueueEntry entry =
+      MakeEntry(victim, QueueEntry::Kind::kBoundTask, task_index);
+  entry.enqueue_time = engine_.Now();
   entry.service_penalty = config_.tenancy.preemption_restart_cost;
   entry.preempt_count = static_cast<std::uint8_t>(
       std::min<std::size_t>(worker.running_preempt_count + 1, 255));
-  worker.queue.push_back(entry);
-  worker.est_queued_work += entry.est_duration;
-  if (!entry.short_class) ++worker.long_entries;
-  RefreshLongBusy(worker);
-  worker.estimator.OnArrival(now);
-  OnEntryEnqueued(worker, entry);
-  TenantQueuedDelta(entry, +1);
+  EnqueueEntry(worker, entry);
   ++counters_.preemption_requeues;
-  Emit(EventType::kPreemptRequeue, victim.id, worker.id, index);
+  Emit(EventType::kPreemptRequeue, victim.id, worker.id, task_index);
   RefreshLongBusy(worker);
 }
 
@@ -1188,13 +1200,7 @@ MachineId SchedulerBase::SampleEligibleInShard(const cluster::ConstraintSet& cs,
 // handshake is needed on this plane.
 void SchedulerBase::PlaceDistributedFederated(JobRuntime& job) {
   const std::uint32_t home = federation_->HomeShard(job.id);
-  std::uint32_t target_shard = home;
-  const std::uint32_t peer = federation_->PickOffloadPeer(home);
-  if (peer != federation::kNoShard) {
-    target_shard = peer;
-    ++counters_.fed_offloads;
-  }
-  const auto [lo, hi] = federation_->shard_map().range(home);
+  const std::uint32_t target_shard = PickTargetShard(home);
   const std::size_t wanted =
       std::max<std::size_t>(config_.probe_ratio * job.num_tasks(),
                             job.num_tasks());
@@ -1207,13 +1213,30 @@ void SchedulerBase::PlaceDistributedFederated(JobRuntime& job) {
   while (targets.size() < wanted) {
     targets.push_back(SampleEligibleInShard(job.effective, target_shard));
   }
+  SendProbes(job, targets, home);
+}
+
+std::uint32_t SchedulerBase::PickTargetShard(std::uint32_t home) {
+  const std::uint32_t peer = federation_->PickOffloadPeer(home);
+  if (peer == federation::kNoShard) return home;
+  ++counters_.fed_offloads;
+  return peer;
+}
+
+void SchedulerBase::SendProbes(JobRuntime& job,
+                               const std::vector<MachineId>& targets,
+                               std::uint32_t home_shard) {
+  // The home territory [lo, hi); the whole fleet when unsharded.
+  MachineId lo = 0;
+  auto hi = static_cast<MachineId>(workers_.size());
+  if (home_shard != federation::kNoShard) {
+    const auto range = federation_->shard_map().range(home_shard);
+    lo = range.first;
+    hi = range.second;
+  }
   counters_.probes_sent += targets.size();
   job.outstanding_probes += static_cast<std::uint32_t>(targets.size());
-  QueueEntry entry;
-  entry.kind = QueueEntry::Kind::kProbe;
-  entry.job = job.id;
-  entry.est_duration = EstimatedTaskDuration(job);
-  entry.short_class = job.short_class;
+  const QueueEntry entry = MakeEntry(job, QueueEntry::Kind::kProbe);
   for (const MachineId target : targets) {
     if (target < lo || target >= hi) ++counters_.fed_cross_shard_probes;
     Emit(EventType::kProbeSend, job.id, target);
@@ -1230,33 +1253,14 @@ void SchedulerBase::PlaceCentralizedFederated(JobRuntime& job) {
   const std::uint32_t home = federation_->HomeShard(job.id);
   while (!job.AllPlaced()) {
     const std::uint32_t index = TakeNextTaskIndex(job);
-    std::uint32_t target_shard = home;
-    const std::uint32_t peer = federation_->PickOffloadPeer(home);
-    if (peer != federation::kNoShard) {
-      target_shard = peer;
-      ++counters_.fed_offloads;
-    }
+    const std::uint32_t target_shard = PickTargetShard(home);
     std::vector<MachineId> candidates;
     candidates.reserve(config_.power_of_d);
     for (std::size_t i = 0; i < config_.power_of_d; ++i) {
       candidates.push_back(
           SampleEligibleInShard(job.effective, target_shard));
     }
-    FilterByPlacement(job, candidates);
-    const MachineId best = PickLeastLoadedLive(candidates, job);
-    NoteRackCommitment(job, cluster_.rack_of(best));
-    QueueEntry entry;
-    entry.kind = QueueEntry::Kind::kBoundTask;
-    entry.job = job.id;
-    entry.task_index = index;
-    entry.est_duration = EstimatedTaskDuration(job);
-    entry.short_class = job.short_class;
-    if (federation_->shard_of(best) != home) {
-      entry.cross_shard = true;
-      ++counters_.fed_bind_attempts;
-      Emit(EventType::kFedBindSend, job.id, best, index);
-    }
-    SendEntry(best, entry, one_way());
+    BindTask(job, index, std::move(candidates), home);
   }
 }
 
@@ -1305,17 +1309,7 @@ void SchedulerBase::PlaceDistributed(JobRuntime& job) {
   }
   PHOENIX_CHECK_MSG(targets.size() >= job.num_tasks(),
                     "probe budget below task count");
-  counters_.probes_sent += targets.size();
-  job.outstanding_probes += static_cast<std::uint32_t>(targets.size());
-  QueueEntry entry;
-  entry.kind = QueueEntry::Kind::kProbe;
-  entry.job = job.id;
-  entry.est_duration = EstimatedTaskDuration(job);
-  entry.short_class = job.short_class;
-  for (const MachineId target : targets) {
-    Emit(EventType::kProbeSend, job.id, target);
-    SendEntry(target, entry, one_way());
-  }
+  SendProbes(job, targets);
 }
 
 void SchedulerBase::PlaceCentralized(JobRuntime& job) {
@@ -1325,23 +1319,7 @@ void SchedulerBase::PlaceCentralized(JobRuntime& job) {
   }
   while (!job.AllPlaced()) {
     const std::uint32_t index = TakeNextTaskIndex(job);
-    std::vector<MachineId> candidates = ChooseLongCandidates(job);
-    PHOENIX_CHECK_MSG(!candidates.empty(),
-                      "admission control must leave a satisfiable pool");
-    FilterByPlacement(job, candidates);
-    // Shared with RedispatchEntry: least-loaded live candidate, or a fresh
-    // pool draw when every candidate is down (never a known-dead bind).
-    // Under packing, best vector fit wins instead.
-    const MachineId best = packing_on_ ? PickBestPacked(candidates, job)
-                                       : PickLeastLoadedLive(candidates, job);
-    NoteRackCommitment(job, cluster_.rack_of(best));
-    QueueEntry entry;
-    entry.kind = QueueEntry::Kind::kBoundTask;
-    entry.job = job.id;
-    entry.task_index = index;
-    entry.est_duration = EstimatedTaskDuration(job);
-    entry.short_class = job.short_class;
-    SendEntry(best, entry, one_way());
+    BindTask(job, index, ChooseLongCandidates(job));
   }
 }
 
@@ -1402,22 +1380,24 @@ void SchedulerBase::DeliverEntry(MachineId target, QueueEntry entry) {
   }
   entry.enqueue_time = engine_.Now();
   entry.bypass_count = 0;
-  w.queue.push_back(entry);
-  w.est_queued_work += entry.est_duration;
-  if (entry.kind == QueueEntry::Kind::kBoundTask && !entry.short_class) {
-    ++w.long_entries;
-    RefreshLongBusy(w);
-  } else if (entry.kind == QueueEntry::Kind::kProbe && entry.short_class) {
-    ++short_probe_counts_[target];
-  }
-  w.estimator.OnArrival(engine_.Now());
   w.steal_inflight = false;  // incoming work satisfies any pending steal
-  OnEntryEnqueued(w, entry);
-  if (tenancy_on_) {
-    TenantQueuedDelta(entry, +1);
-    if (w.busy) MaybePreemptFor(w, entry);
-  }
+  EnqueueEntry(w, entry);
+  if (tenancy_on_ && w.busy) MaybePreemptFor(w, entry);
   TryStartNext(w);
+}
+
+void SchedulerBase::EnqueueEntry(WorkerState& worker, const QueueEntry& entry) {
+  worker.queue.push_back(entry);
+  worker.est_queued_work += entry.est_duration;
+  if (entry.kind == QueueEntry::Kind::kBoundTask && !entry.short_class) {
+    ++worker.long_entries;
+    RefreshLongBusy(worker);
+  } else if (entry.kind == QueueEntry::Kind::kProbe && entry.short_class) {
+    ++short_probe_counts_[worker.id];
+  }
+  worker.estimator.OnArrival(engine_.Now());
+  OnEntryEnqueued(worker, entry);
+  if (tenancy_on_) TenantQueuedDelta(entry, +1);
 }
 
 void SchedulerBase::GiveUpEntry(MachineId target, QueueEntry entry) {
@@ -1506,15 +1486,46 @@ QueueEntry SchedulerBase::RemoveQueueAt(WorkerState& worker,
 }
 
 void SchedulerBase::TryStartNext(WorkerState& worker) {
-  if (packing_on_) {
-    PackedTryStart(worker);
-    return;
-  }
+  // Under packing `busy` means "control slot held for an in-flight fetch":
+  // one probe resolution at a time, so the residual the fetch validated is
+  // still meaningful when it lands. Bound tasks start while they fit the
+  // residual vector; the single-slot loop starts at most one entry.
   if (worker.busy || worker.failed) return;
-  if (worker.queue.empty()) {
-    OnWorkerIdle(worker);
-    return;
+  while (!worker.queue.empty()) {
+    std::size_t index = PickNextIndex(worker);
+    if (packing_on_ && !PackedFits(worker, worker.queue[index])) {
+      ++counters_.pack_fit_rejections;
+      if (tenancy_on_ && TryPackedPreemptFor(worker, worker.queue[index])) {
+        continue;  // capacity freed now; re-run the selection
+      }
+      // Backfill: the first entry in queue order that does fit runs instead.
+      // The selected entry keeps its place and accrues bypass credit via
+      // PopQueueAt, so the starvation guard still sees it.
+      std::size_t fit = 0;
+      while (fit < worker.queue.size() &&
+             (fit == index || !PackedFits(worker, worker.queue[fit]))) {
+        ++fit;
+      }
+      if (fit == worker.queue.size()) return;  // wait for a completion
+      index = fit;
+    }
+    const QueueEntry entry = PopToRun(worker, index);
+    if (entry.kind == QueueEntry::Kind::kProbe) {
+      FetchForProbe(worker, entry);
+      return;
+    }
+    if (!packing_on_) {
+      StartService(worker, jobs_[entry.job], entry.task_index,
+                   entry.service_penalty);
+      return;
+    }
+    StartPackedRun(worker, jobs_[entry.job], entry.task_index,
+                   entry.service_penalty, /*from_reserve=*/false);
   }
+  if (worker.run_list.empty()) OnWorkerIdle(worker);
+}
+
+std::size_t SchedulerBase::PickNextIndex(WorkerState& worker) {
   std::size_t index = SelectNextIndex(worker);
   PHOENIX_CHECK_MSG(index < worker.queue.size(),
                     "queue discipline returned an out-of-range index");
@@ -1534,6 +1545,10 @@ void SchedulerBase::TryStartNext(WorkerState& worker) {
       ++counters_.deadline_promotions;
     }
   }
+  return index;
+}
+
+QueueEntry SchedulerBase::PopToRun(WorkerState& worker, std::size_t index) {
   QueueEntry entry = PopQueueAt(worker, index);
   if (tenancy_on_) {
     // Snapshot the entry's starvation/preemption state for the preemption
@@ -1542,14 +1557,14 @@ void SchedulerBase::TryStartNext(WorkerState& worker) {
         entry.bypass_count >= config_.slack_threshold;
     worker.running_preempt_count = entry.preempt_count;
   }
-  if (entry.kind == QueueEntry::Kind::kBoundTask) {
-    StartService(worker, jobs_[entry.job], entry.task_index,
-                 entry.service_penalty);
-    return;
-  }
-  // Probe: hold the slot while fetching the task over one RTT (late
-  // binding). The fetch is a fabric round trip; a lost request or reply
-  // times out and re-covers the probe instead of stranding the slot.
+  return entry;
+}
+
+void SchedulerBase::FetchForProbe(WorkerState& worker,
+                                  const QueueEntry& entry) {
+  // Hold the slot while fetching the task over one RTT (late binding). The
+  // fetch is a fabric round trip; a lost request or reply times out and
+  // re-covers the probe instead of stranding the slot.
   worker.busy = true;
   worker.resolving = true;
   worker.resolving_entry = entry;
@@ -1578,27 +1593,12 @@ void SchedulerBase::AbortProbeResolution(MachineId wid, QueueEntry entry) {
 }
 
 void SchedulerBase::AbortStickyFetch(MachineId wid, trace::JobId jid) {
-  // Mirrors FailMachine's in-flight-fetch recovery: the fetched job's
-  // sibling probes may be gone, so re-cover it with a fresh dispatch.
+  // The same recovery as a sticky fetch evicted by a failure.
   WorkerState& w = workers_[wid];
   w.pending_call = 0;
   w.fetching_job = trace::kInvalidJob;
   w.busy = false;
-  JobRuntime& job = jobs_[jid];
-  if (!job.AllPlaced()) {
-    ++counters_.sticky_fetch_redispatches;
-    QueueEntry entry;
-    entry.job = job.id;
-    entry.est_duration = EstimatedTaskDuration(job);
-    entry.short_class = job.short_class;
-    if (UsesDistributedPlane(job)) {
-      entry.kind = QueueEntry::Kind::kProbe;
-    } else {
-      entry.kind = QueueEntry::Kind::kBoundTask;
-      entry.task_index = TakeNextTaskIndex(job);
-    }
-    RedispatchEntry(std::move(entry), one_way());
-  }
+  RecoverStickyFetch(jobs_[jid]);
   TryStartNext(w);
 }
 
@@ -1640,7 +1640,7 @@ void SchedulerBase::ResolveProbe(WorkerState& worker, QueueEntry entry) {
     worker.busy = false;  // StartService re-claims the slot
     if (packing_on_) {
       StartPackedRun(worker, job, index, 0.0, /*from_reserve=*/false);
-      PackedTryStart(worker);
+      TryStartNext(worker);
       return;
     }
     StartService(worker, job, index);
@@ -1653,12 +1653,22 @@ void SchedulerBase::ResolveProbe(WorkerState& worker, QueueEntry entry) {
   TryStartNext(worker);
 }
 
-void SchedulerBase::RecordTaskStart(JobRuntime& job, sim::SimTime start) {
-  const double wait = start - job.spec->submit_time;
+double SchedulerBase::BeginTask(WorkerState& worker, JobRuntime& job,
+                                std::uint32_t task_index,
+                                double service_penalty) {
+  const double duration = MeterExecBegin(
+      worker, job.ActualDuration(task_index) + service_penalty);
+  if (service_penalty > 0) {
+    counters_.preemption_restart_seconds += service_penalty;
+  }
+  const double wait = engine_.Now() - job.spec->submit_time;
   PHOENIX_CHECK_MSG(wait >= 0, "task started before job submission");
   job.sum_task_wait += wait;
   job.max_task_wait = std::max(job.max_task_wait, wait);
   ++job.task_starts;
+  ++worker.tasks_started;
+  total_busy_time_ += duration;
+  return duration;
 }
 
 void SchedulerBase::StartService(WorkerState& worker, JobRuntime& job,
@@ -1666,71 +1676,83 @@ void SchedulerBase::StartService(WorkerState& worker, JobRuntime& job,
                                  double service_penalty) {
   PHOENIX_CHECK_MSG(!worker.busy, "worker slot already held");
   const sim::SimTime now = engine_.Now();
-  double duration = job.ActualDuration(task_index) + service_penalty;
-  if (power_ != nullptr) {
-    // Ondemand boost: arriving work snaps a throttled machine back to P0,
-    // so DVFS thins the idle draw of lightly loaded machines without
-    // stretching service (frequency transitions are instantaneous next to
-    // task durations; S3 wakes are the latency that matters).
-    if (power_->p_state(worker.id) != 0 && !power_->executing(worker.id)) {
-      ++counters_.power_dvfs_raises;
-      const double boosted = power_->SetPState(worker.id, 0, now);
-      Emit(EventType::kPowerDvfs, obs::kNoId, worker.id, 0, boosted);
-      Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, boosted);
-    }
-    duration *= power_->SpeedMultiplier(worker.id);
-    const double watts = power_->OnExecBegin(worker.id, now);
-    if (watts >= 0) {
-      Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
-    }
-  }
-  if (service_penalty > 0) {
-    counters_.preemption_restart_seconds += service_penalty;
-  }
-  RecordTaskStart(job, now);
-  ++worker.tasks_started;
+  const double duration = BeginTask(worker, job, task_index, service_penalty);
   worker.busy = true;
   worker.running_job = job.id;
   worker.running_index = task_index;
   worker.running_start = now;
   worker.busy_until = now + duration;
   RefreshLongBusy(worker);
-  total_busy_time_ += duration;
   Emit(EventType::kTaskStart, job.id, worker.id, task_index, duration);
   worker.pending_event =
       engine_.ScheduleAt(worker.busy_until, [this, wid = worker.id, duration] {
         WorkerState& w = workers_[wid];
-        if (power_ != nullptr) {
-          // Per-SLA-class energy attainment: the exec draw was constant for
-          // the whole run (DVFS is blocked while executing), so watts x
-          // duration is this task's exact share of the meter's exec joules.
-          // Untenanted work lands in the batch bucket.
-          const std::uint8_t rank =
-              tenancy::PriorityRank(jobs_[w.running_job].priority);
-          class_exec_joules_[rank] += power_->watts(wid) * duration;
-          ++class_tasks_[rank];
-          const double watts = power_->OnExecEnd(wid, engine_.Now());
-          if (watts >= 0) {
-            Emit(EventType::kPowerState, obs::kNoId, wid, obs::kNoId, watts);
-          }
-        }
-        w.estimator.OnServiceComplete(duration);
-        if (tenancy_on_) {
-          const JobRuntime& j = jobs_[w.running_job];
-          if (tenants_.Known(j.tenant)) {
-            tenants_.state(j.tenant).usage_seconds += duration;
-          }
-        }
-        Emit(EventType::kTaskComplete, w.running_job, wid, w.running_index,
-             duration);
-        FinishService(w);
+        JobRuntime& j = jobs_[w.running_job];
+        MeterTaskEnd(w, j, duration);
+        CompleteTask(w, j, w.running_index, duration);
+        FinishService(w, j);
       });
 }
 
-void SchedulerBase::FinishService(WorkerState& worker) {
-  JobRuntime& job = jobs_[worker.running_job];
+double SchedulerBase::MeterExecBegin(WorkerState& worker, double duration) {
+  if (power_ == nullptr) return duration;
+  // Exec metering opens on the idle -> executing transition only;
+  // concurrent packed runs share the machine's single exec draw.
+  const bool opens = worker.run_list.empty();
   const sim::SimTime now = engine_.Now();
-  const std::uint32_t finished_index = worker.running_index;
+  if (opens && power_->p_state(worker.id) != 0 &&
+      !power_->executing(worker.id)) {
+    // Ondemand boost: arriving work snaps a throttled machine back to P0,
+    // so DVFS thins the idle draw of lightly loaded machines without
+    // stretching service (frequency transitions are instantaneous next to
+    // task durations; S3 wakes are the latency that matters).
+    ++counters_.power_dvfs_raises;
+    const double boosted = power_->SetPState(worker.id, 0, now);
+    Emit(EventType::kPowerDvfs, obs::kNoId, worker.id, 0, boosted);
+    Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, boosted);
+  }
+  duration *= power_->SpeedMultiplier(worker.id);
+  if (opens) {
+    const double watts = power_->OnExecBegin(worker.id, now);
+    if (watts >= 0) {
+      Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
+    }
+  }
+  return duration;
+}
+
+void SchedulerBase::MeterExecEnd(MachineId id) {
+  if (power_ == nullptr) return;
+  const double watts = power_->OnExecEnd(id, engine_.Now());
+  if (watts >= 0) {
+    Emit(EventType::kPowerState, obs::kNoId, id, obs::kNoId, watts);
+  }
+}
+
+void SchedulerBase::MeterTaskEnd(const WorkerState& worker,
+                                 const JobRuntime& job, double duration) {
+  if (power_ == nullptr) return;
+  // Per-SLA-class energy attainment: the exec draw is constant while the
+  // machine executes (DVFS is blocked meanwhile), so watts x duration is a
+  // lone task's exact share of the meter's exec joules. Packed runs split
+  // the draw evenly across the runs sharing it (the finished one included)
+  // — approximate under concurrency. Untenanted work lands in batch.
+  const double share = power_->watts(worker.id) /
+                       static_cast<double>(worker.run_list.size() + 1);
+  const std::uint8_t rank = tenancy::PriorityRank(job.priority);
+  class_exec_joules_[rank] += share * duration;
+  ++class_tasks_[rank];
+  if (worker.run_list.empty()) MeterExecEnd(worker.id);
+}
+
+void SchedulerBase::CompleteTask(WorkerState& worker, JobRuntime& job,
+                                 std::uint32_t task_index, double duration) {
+  const sim::SimTime now = engine_.Now();
+  worker.estimator.OnServiceComplete(duration);
+  if (tenancy_on_ && tenants_.Known(job.tenant)) {
+    tenants_.state(job.tenant).usage_seconds += duration;
+  }
+  Emit(EventType::kTaskComplete, job.id, worker.id, task_index, duration);
   ++job.completed;
   makespan_ = std::max(makespan_, now);
   worker.running_job = trace::kInvalidJob;
@@ -1745,8 +1767,15 @@ void SchedulerBase::FinishService(WorkerState& worker) {
   } else if (DagManaged(job)) {
     // The finished task's successors may have become ready; dispatch them
     // (the last task to finish has none, so the Done branch skips this).
-    ReleaseDagSuccessors(job, finished_index);
+    ReleaseDagSuccessors(job, task_index);
+  } else if (job.malleable() && job.malleable_inflight > 0) {
+    // Only packed runs of malleable jobs hold inflight width.
+    --job.malleable_inflight;
+    TopUpMalleable(job);
   }
+}
+
+void SchedulerBase::FinishService(WorkerState& worker, JobRuntime& job) {
   // Sticky batch probing never fetches from a DAG job: TakeNextTaskIndex
   // hands out tasks in index order, released or not.
   if (!job.AllPlaced() && job.placement() != trace::PlacementPref::kSpread &&
@@ -1754,7 +1783,7 @@ void SchedulerBase::FinishService(WorkerState& worker) {
     // Sticky batch probing: keep the slot and fetch the job's next task
     // directly, skipping the probe queue (Eagle §"divide and stick").
     // fetching_job marks the in-flight fetch so a machine failure can
-    // re-cover the job (see FailMachine).
+    // re-cover the job (see EvictSlotWork).
     worker.fetching_job = job.id;
     Emit(EventType::kStickyFetch, job.id, worker.id);
     worker.pending_call = rpc_.RoundTrip(
@@ -1837,12 +1866,7 @@ void SchedulerBase::ClampDemandToHostable(JobRuntime& job) {
   for (const WorkerState& w : workers_) {
     if (!cluster_.machine(w.id).Satisfies(job.effective)) continue;
     if (job.demand.FitsIn(w.capacity)) return;  // already hostable
-    double volume = 0;
-    for (std::size_t d = 0; d < packing::kNumPackDims; ++d) {
-      if (max_capacity_.dim(d) > 0) {
-        volume += w.capacity.dim(d) / max_capacity_.dim(d);
-      }
-    }
+    const double volume = NormalizedVolume(w.capacity, max_capacity_);
     if (volume > best_volume) {
       best_volume = volume;
       best = &w.capacity;
@@ -1880,79 +1904,6 @@ void SchedulerBase::ReleasePackedCapacity(WorkerState& worker,
   }
 }
 
-void SchedulerBase::PackedTryStart(WorkerState& worker) {
-  // `busy` under packing means "control slot held for an in-flight fetch":
-  // one probe resolution at a time, so the residual the fetch validated is
-  // still meaningful when it lands.
-  if (worker.failed || worker.busy) return;
-  while (!worker.queue.empty()) {
-    std::size_t index = SelectNextIndex(worker);
-    PHOENIX_CHECK_MSG(index < worker.queue.size(),
-                      "queue discipline returned an out-of-range index");
-    if (tenancy_on_) {
-      const std::size_t promoted = PromoteByPriority(worker, index);
-      if (promoted != index) {
-        index = promoted;
-        ++counters_.tenant_priority_promotions;
-      }
-    }
-    if (deadline_on_) {
-      const std::size_t promoted = PromoteByDeadline(worker, index);
-      if (promoted != index) {
-        index = promoted;
-        ++counters_.deadline_promotions;
-      }
-    }
-    if (!PackedFits(worker, worker.queue[index])) {
-      ++counters_.pack_fit_rejections;
-      if (tenancy_on_ && TryPackedPreemptFor(worker, worker.queue[index])) {
-        continue;  // capacity freed now; re-run the selection
-      }
-      // Backfill: the first entry in queue order that does fit runs instead.
-      // The selected entry keeps its place and accrues bypass credit via
-      // PopQueueAt, so the starvation guard still sees it.
-      bool found = false;
-      for (std::size_t i = 0; i < worker.queue.size(); ++i) {
-        if (i == index) continue;
-        if (PackedFits(worker, worker.queue[i])) {
-          index = i;
-          found = true;
-          break;
-        }
-      }
-      if (!found) return;  // nothing fits: wait for a completion
-    }
-    QueueEntry entry = PopQueueAt(worker, index);
-    if (tenancy_on_) {
-      worker.running_bypass_exhausted =
-          entry.bypass_count >= config_.slack_threshold;
-      worker.running_preempt_count = entry.preempt_count;
-    }
-    if (entry.kind == QueueEntry::Kind::kBoundTask) {
-      StartPackedRun(worker, jobs_[entry.job], entry.task_index,
-                     entry.service_penalty, /*from_reserve=*/false);
-      continue;
-    }
-    // Probe: hold the control slot while fetching over one RTT (late
-    // binding), exactly like the single-slot path.
-    worker.busy = true;
-    worker.resolving = true;
-    worker.resolving_entry = entry;
-    worker.pending_call = rpc_.RoundTrip(
-        worker.id, net::kControllerNode, net::MessageKind::kFetchRequest,
-        one_way(),
-        [this, wid = worker.id, entry] {
-          WorkerState& w = workers_[wid];
-          w.pending_call = 0;
-          w.resolving = false;
-          ResolveProbe(w, entry);
-        },
-        [this, wid = worker.id, entry] { AbortProbeResolution(wid, entry); });
-    return;
-  }
-  if (worker.run_list.empty()) OnWorkerIdle(worker);
-}
-
 bool SchedulerBase::TryPackedPreemptFor(WorkerState& worker,
                                         const QueueEntry& head) {
   const JobRuntime& incoming = jobs_[head.job];
@@ -1983,46 +1934,12 @@ bool SchedulerBase::TryPackedPreemptFor(WorkerState& worker,
     engine_.Cancel(run.pending_event);
     const sim::SimTime now = engine_.Now();
     const double remaining = std::max(0.0, run.until - now);
-    const double elapsed = std::max(0.0, now - run.start);
     ReleasePackedCapacity(worker, victim.demand, 1.0, victim.id);
-    if (power_ != nullptr && worker.run_list.empty()) {
-      const double watts = power_->OnExecEnd(worker.id, now);
-      if (watts >= 0) {
-        Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
-      }
-    }
-    total_busy_time_ -= remaining;
+    if (worker.run_list.empty()) MeterExecEnd(worker.id);
     packed_core_seconds_ -=
         remaining * victim.demand[packing::PackDim::kCores];
-    counters_.preemption_lost_seconds += elapsed;
-    ++counters_.preemptions_issued;
-    ++victim.preemptions;
-    if (tenants_.Known(victim.tenant)) {
-      ++tenants_.state(victim.tenant).preemptions_suffered;
-    }
-    Emit(EventType::kPreemptIssue, victim.id, worker.id, run.task_index,
-         elapsed);
-    // Requeue locally with the restart cost — one control action, no fabric
-    // transit, so chaos cannot strand the victim.
-    QueueEntry entry;
-    entry.kind = QueueEntry::Kind::kBoundTask;
-    entry.job = victim.id;
-    entry.task_index = run.task_index;
-    entry.est_duration = EstimatedTaskDuration(victim);
-    entry.enqueue_time = now;
-    entry.short_class = victim.short_class;
-    entry.service_penalty = config_.tenancy.preemption_restart_cost;
-    entry.preempt_count = static_cast<std::uint8_t>(
-        std::min<std::size_t>(worker.running_preempt_count + 1, 255));
-    worker.queue.push_back(entry);
-    worker.est_queued_work += entry.est_duration;
-    if (!entry.short_class) ++worker.long_entries;
-    worker.estimator.OnArrival(now);
-    OnEntryEnqueued(worker, entry);
-    TenantQueuedDelta(entry, +1);
-    ++counters_.preemption_requeues;
-    Emit(EventType::kPreemptRequeue, victim.id, worker.id, run.task_index);
-    RefreshLongBusy(worker);
+    RequeuePreempted(worker, victim, run.task_index,
+                     std::max(0.0, now - run.start), remaining);
     return true;
   }
   return false;
@@ -2032,33 +1949,10 @@ void SchedulerBase::StartPackedRun(WorkerState& worker, JobRuntime& job,
                                    std::uint32_t task_index,
                                    double service_penalty, bool from_reserve) {
   const sim::SimTime now = engine_.Now();
-  double duration = job.ActualDuration(task_index) + service_penalty;
-  if (power_ != nullptr) {
-    if (worker.run_list.empty() && power_->p_state(worker.id) != 0 &&
-        !power_->executing(worker.id)) {
-      ++counters_.power_dvfs_raises;
-      const double boosted = power_->SetPState(worker.id, 0, now);
-      Emit(EventType::kPowerDvfs, obs::kNoId, worker.id, 0, boosted);
-      Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, boosted);
-    }
-    duration *= power_->SpeedMultiplier(worker.id);
-    if (worker.run_list.empty()) {
-      // Exec metering opens on the 0 -> 1 run transition only; concurrent
-      // runs share the machine's single exec draw.
-      const double watts = power_->OnExecBegin(worker.id, now);
-      if (watts >= 0) {
-        Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
-      }
-    }
-  }
-  if (service_penalty > 0) {
-    counters_.preemption_restart_seconds += service_penalty;
-  }
+  const double duration = BeginTask(worker, job, task_index, service_penalty);
   if (!from_reserve) {
     ClaimPackedCapacity(worker, job.demand, 1.0, job.id);
   }
-  RecordTaskStart(job, now);
-  ++worker.tasks_started;
   ++counters_.packed_tasks;
   PackedRun run;
   run.job = job.id;
@@ -2066,7 +1960,6 @@ void SchedulerBase::StartPackedRun(WorkerState& worker, JobRuntime& job,
   run.run_id = worker.next_run_id++;
   run.start = now;
   run.until = now + duration;
-  total_busy_time_ += duration;
   packed_core_seconds_ += duration * job.demand[packing::PackDim::kCores];
   Emit(EventType::kTaskStart, job.id, worker.id, task_index, duration);
   run.pending_event = engine_.ScheduleAt(
@@ -2093,46 +1986,10 @@ void SchedulerBase::FinishPackedRun(MachineId wid, std::uint32_t run_id,
   worker.run_list.erase(worker.run_list.begin() +
                         static_cast<std::ptrdiff_t>(slot));
   JobRuntime& job = jobs_[run.job];
-  const sim::SimTime now = engine_.Now();
-  if (power_ != nullptr) {
-    // Per-class energy under packing: the machine's exec draw is split
-    // evenly across the runs sharing it (this one included) — approximate
-    // under concurrency, exact when the run was alone.
-    const double share =
-        power_->watts(wid) / static_cast<double>(worker.run_list.size() + 1);
-    const std::uint8_t rank = tenancy::PriorityRank(job.priority);
-    class_exec_joules_[rank] += share * duration;
-    ++class_tasks_[rank];
-    if (worker.run_list.empty()) {
-      const double watts = power_->OnExecEnd(wid, now);
-      if (watts >= 0) {
-        Emit(EventType::kPowerState, obs::kNoId, wid, obs::kNoId, watts);
-      }
-    }
-  }
+  MeterTaskEnd(worker, job, duration);
   ReleasePackedCapacity(worker, job.demand, 1.0, job.id);
-  worker.estimator.OnServiceComplete(duration);
-  if (tenancy_on_ && tenants_.Known(job.tenant)) {
-    tenants_.state(job.tenant).usage_seconds += duration;
-  }
-  Emit(EventType::kTaskComplete, job.id, wid, run.task_index, duration);
-  ++job.completed;
-  makespan_ = std::max(makespan_, now);
-  RefreshLongBusy(worker);
-  if (job.Done()) {
-    job.completion = now;
-    ++jobs_done_;
-    if (tenancy_on_) OnTenantJobComplete(job);
-    Emit(EventType::kJobComplete, job.id, wid, obs::kNoId,
-         now - job.spec->submit_time);
-    if (deadline_on_) ScoreDeadline(job);
-  } else if (DagManaged(job)) {
-    ReleaseDagSuccessors(job, run.task_index);
-  } else if (job.malleable() && job.malleable_inflight > 0) {
-    --job.malleable_inflight;
-    TopUpMalleable(job);
-  }
-  PackedTryStart(worker);
+  CompleteTask(worker, job, run.task_index, duration);
+  TryStartNext(worker);
 }
 
 void SchedulerBase::EvictPackedRuns(WorkerState& worker) {
@@ -2140,12 +1997,7 @@ void SchedulerBase::EvictPackedRuns(WorkerState& worker) {
   const sim::SimTime now = engine_.Now();
   std::vector<PackedRun> runs;
   runs.swap(worker.run_list);
-  if (power_ != nullptr) {
-    const double watts = power_->OnExecEnd(worker.id, now);
-    if (watts >= 0) {
-      Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
-    }
-  }
+  MeterExecEnd(worker.id);
   for (const PackedRun& run : runs) {
     engine_.Cancel(run.pending_event);
     JobRuntime& job = jobs_[run.job];
@@ -2153,24 +2005,9 @@ void SchedulerBase::EvictPackedRuns(WorkerState& worker) {
     ReleasePackedCapacity(worker, job.demand, 1.0, job.id);
     total_busy_time_ -= remaining;
     packed_core_seconds_ -= remaining * job.demand[packing::PackDim::kCores];
-    job.replay_tasks.push_back(run.task_index);
-    Emit(EventType::kTaskKill, job.id, worker.id, run.task_index);
-    // Malleable inflight is NOT decremented: the replay below re-covers the
-    // task, so it stays "placed" for the width accounting.
-    QueueEntry entry;
-    entry.job = job.id;
-    entry.est_duration = EstimatedTaskDuration(job);
-    entry.short_class = job.short_class;
-    if (UsesDistributedPlane(job) && !job.gang() && !job.malleable() &&
-        !DagManaged(job)) {
-      entry.kind = QueueEntry::Kind::kProbe;
-    } else {
-      // Gang/malleable/DAG replays re-bind (DAG: a probe could fetch an
-      // unreleased task; the killed index just pushed is popped right back).
-      entry.kind = QueueEntry::Kind::kBoundTask;
-      entry.task_index = TakeNextTaskIndex(job);
-    }
-    RedispatchEntry(std::move(entry), one_way());
+    // Malleable inflight is NOT decremented: the replay re-covers the task,
+    // so it stays "placed" for the width accounting.
+    ReplayKilledTask(worker, job, run.task_index);
   }
   RefreshLongBusy(worker);
 }
@@ -2236,10 +2073,7 @@ MachineId SchedulerBase::PickBestPacked(
   }
   // Every large-enough machine is down: fall back like the dead-pool path
   // (the delivery bounce re-covers the entry once something repairs).
-  ++counters_.placement_dead_fallbacks;
-  const MachineId fallback = SampleEligible(job.effective);
-  PHOENIX_CHECK(fallback != cluster::kInvalidMachine);
-  return fallback;
+  return DeadPoolFallback(job);
 }
 
 double SchedulerBase::PackedSupplyScale() const {
@@ -2366,12 +2200,8 @@ void SchedulerBase::PlaceGang(JobId id) {
   // Member entries transit the fabric like any bind; DeliverEntry diverts
   // them into the staging area while the round is open.
   for (const MachineId t : targets) {
-    QueueEntry entry;
-    entry.kind = QueueEntry::Kind::kBoundTask;
-    entry.job = id;
-    entry.task_index = TakeNextTaskIndex(job);
-    entry.est_duration = EstimatedTaskDuration(job);
-    entry.short_class = job.short_class;
+    const QueueEntry entry =
+        MakeEntry(job, QueueEntry::Kind::kBoundTask, TakeNextTaskIndex(job));
     NoteRackCommitment(job, cluster_.rack_of(t));
     SendEntry(t, entry, one_way());
   }
@@ -2487,35 +2317,26 @@ void SchedulerBase::PlaceMalleable(JobId id) {
   JobRuntime& job = jobs_[id];
   ++counters_.malleable_jobs;
   malleable_active_.push_back(id);
-  const auto max_width = static_cast<std::uint32_t>(job.num_tasks());
-  std::uint32_t width = PackedFreeCopies(job);
+  job.malleable_width = MalleableWidth(job, PackedFreeCopies(job));
+  Emit(EventType::kMalleableWidth, id, obs::kNoId, obs::kNoId,
+       job.malleable_width);
+  TopUpMalleable(job);
+}
+
+std::uint32_t SchedulerBase::MalleableWidth(const JobRuntime& job,
+                                            std::uint32_t width) {
   if (width < job.min_parallel()) {
     width = job.min_parallel();
     ++counters_.malleable_min_hits;
   }
-  width = std::min(width, max_width);
-  job.malleable_width = width;
-  Emit(EventType::kMalleableWidth, id, obs::kNoId, obs::kNoId, width);
-  TopUpMalleable(job);
+  return std::min(width, static_cast<std::uint32_t>(job.num_tasks()));
 }
 
 void SchedulerBase::TopUpMalleable(JobRuntime& job) {
   if (job.Done()) return;
   while (!job.AllPlaced() && job.malleable_inflight < job.malleable_width) {
     const std::uint32_t index = TakeNextTaskIndex(job);
-    std::vector<MachineId> candidates = ChooseLongCandidates(job);
-    PHOENIX_CHECK_MSG(!candidates.empty(),
-                      "admission control must leave a satisfiable pool");
-    FilterByPlacement(job, candidates);
-    const MachineId best = PickBestPacked(candidates, job);
-    NoteRackCommitment(job, cluster_.rack_of(best));
-    QueueEntry entry;
-    entry.kind = QueueEntry::Kind::kBoundTask;
-    entry.job = job.id;
-    entry.task_index = index;
-    entry.est_duration = EstimatedTaskDuration(job);
-    entry.short_class = job.short_class;
-    SendEntry(best, entry, one_way());
+    BindTask(job, index, ChooseLongCandidates(job));
     ++job.malleable_inflight;
   }
 }
@@ -2527,15 +2348,10 @@ void SchedulerBase::RefreshMalleableWidths() {
     JobRuntime& job = jobs_[id];
     if (job.Done()) continue;  // drops out of the active list
     malleable_active_[keep++] = id;
-    const auto max_width = static_cast<std::uint32_t>(job.num_tasks());
     // Expand into free supply; shrink passively when it evaporates (inflight
     // work is never killed — the top-up loop just stops issuing).
-    std::uint32_t width = job.malleable_inflight + PackedFreeCopies(job);
-    if (width < job.min_parallel()) {
-      width = job.min_parallel();
-      ++counters_.malleable_min_hits;
-    }
-    width = std::min(width, max_width);
+    const std::uint32_t width =
+        MalleableWidth(job, job.malleable_inflight + PackedFreeCopies(job));
     if (width == job.malleable_width) continue;
     if (width > job.malleable_width) {
       ++counters_.malleable_expands;
@@ -2597,20 +2413,7 @@ void SchedulerBase::PlaceDagTask(JobRuntime& job, std::uint32_t task_index) {
   ++job.next_unplaced;
   ++counters_.dag_tasks_released;
   Emit(EventType::kDagRelease, job.id, obs::kNoId, task_index);
-  std::vector<MachineId> candidates = ChooseLongCandidates(job);
-  PHOENIX_CHECK_MSG(!candidates.empty(),
-                    "admission control must leave a satisfiable pool");
-  FilterByPlacement(job, candidates);
-  const MachineId best = packing_on_ ? PickBestPacked(candidates, job)
-                                     : PickLeastLoadedLive(candidates, job);
-  NoteRackCommitment(job, cluster_.rack_of(best));
-  QueueEntry entry;
-  entry.kind = QueueEntry::Kind::kBoundTask;
-  entry.job = job.id;
-  entry.task_index = task_index;
-  entry.est_duration = EstimatedTaskDuration(job);
-  entry.short_class = job.short_class;
-  SendEntry(best, entry, one_way());
+  BindTask(job, task_index, ChooseLongCandidates(job));
 }
 
 void SchedulerBase::ReleaseDagSuccessors(JobRuntime& job,
@@ -2676,6 +2479,25 @@ std::size_t SchedulerBase::PromoteByDeadline(const WorkerState& worker,
   return best;
 }
 
+metrics::SchedulerCounters SchedulerBase::SnapshotCounters() const {
+  metrics::SchedulerCounters c = counters_;
+  const net::FabricStats& fabric = fabric_.stats();
+  c.net_messages_sent = fabric.sent;
+  c.net_messages_dropped = fabric.dropped + fabric.partition_drops;
+  c.net_messages_duplicated = fabric.duplicated;
+  c.net_messages_expired = fabric.expired;
+  c.rpc_retries = rpc_.stats().retries;
+  c.rpc_failures = rpc_.stats().failures;
+  if (federation_ != nullptr) {
+    const federation::FederationPlane::Stats& fs = federation_->stats();
+    c.fed_gossip_published = fs.digests_published;
+    c.fed_gossip_applied = fs.digests_applied;
+    c.fed_gossip_stale_dropped = fs.digests_stale_dropped;
+    c.fed_offloads_blocked_stale = fs.offloads_blocked_stale;
+  }
+  return c;
+}
+
 metrics::SimReport SchedulerBase::BuildReport() const {
   PHOENIX_CHECK_MSG(jobs_done_ == jobs_.size(),
                     "BuildReport called before every job completed");
@@ -2683,21 +2505,7 @@ metrics::SimReport SchedulerBase::BuildReport() const {
   report.scheduler_name = name();
   report.trace_name = trace_name_;
   report.num_workers = workers_.size();
-  report.counters = counters_;
-  report.counters.net_messages_sent = fabric_.stats().sent;
-  report.counters.net_messages_dropped =
-      fabric_.stats().dropped + fabric_.stats().partition_drops;
-  report.counters.net_messages_duplicated = fabric_.stats().duplicated;
-  report.counters.net_messages_expired = fabric_.stats().expired;
-  report.counters.rpc_retries = rpc_.stats().retries;
-  report.counters.rpc_failures = rpc_.stats().failures;
-  if (federation_ != nullptr) {
-    const federation::FederationPlane::Stats& fs = federation_->stats();
-    report.counters.fed_gossip_published = fs.digests_published;
-    report.counters.fed_gossip_applied = fs.digests_applied;
-    report.counters.fed_gossip_stale_dropped = fs.digests_stale_dropped;
-    report.counters.fed_offloads_blocked_stale = fs.offloads_blocked_stale;
-  }
+  report.counters = SnapshotCounters();
   report.total_busy_time = total_busy_time_;
   report.makespan = makespan_;
   if (membership_ != nullptr) {

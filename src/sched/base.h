@@ -73,6 +73,11 @@ class SchedulerBase {
   /// job is incomplete (task-conservation invariant).
   metrics::SimReport BuildReport() const;
 
+  /// The counters BuildReport reports: the scheduler's own plus the fabric,
+  /// RPC and federation statistics folded in. Callable at any point of a
+  /// run, including one stopped before every job completed.
+  metrics::SchedulerCounters SnapshotCounters() const;
+
   const SchedulerConfig& config() const { return config_; }
   const cluster::Cluster& cluster() const { return cluster_; }
 
@@ -279,7 +284,11 @@ class SchedulerBase {
   /// steals — the entries in front are not being overtaken by execution).
   QueueEntry RemoveQueueAt(WorkerState& worker, std::size_t index);
 
-  /// If the worker is free, picks the next entry and runs it.
+  /// The worker loop: while the worker's control slot is free, picks the
+  /// next entry and runs it — one entry on a single-slot worker; under
+  /// packing every bound task that fits the residual vector (selection
+  /// discipline first, then first-fit down the queue), holding the slot
+  /// only for probe-resolution RTTs.
   void TryStartNext(WorkerState& worker);
 
   /// Attempts one Hawk-style steal for an idle worker: contacts
@@ -439,9 +448,35 @@ class SchedulerBase {
   /// paths; a drain uses it with kill_running=false to free a fetch-held
   /// slot without interrupting execution.
   void EvictSlotWork(WorkerState& worker, bool kill_running);
+  /// Evicts everything the worker holds — slot, packed runs, gang
+  /// reservations, queue — and re-covers it elsewhere (failure and
+  /// forced retire).
+  void EvictAllWork(WorkerState& worker);
+  /// A running task of `job` died: replays `task_index` and re-covers it
+  /// with a LostWorkEntry (emits kTaskKill).
+  void ReplayKilledTask(const WorkerState& worker, JobRuntime& job,
+                        std::uint32_t task_index);
+  /// A sticky fetch of `job` died with its slot: re-covers the job with a
+  /// fresh dispatch unless every task is already placed.
+  void RecoverStickyFetch(JobRuntime& job);
+  /// Lost work is replayed as a late-binding probe (true) or re-bound
+  /// (false). DAG jobs always re-bind: a probe could fetch an unreleased
+  /// task, while the replayed index already ran, so its predecessors are
+  /// finished. So do gang and malleable jobs under packing, which bypass
+  /// the probe planes (with packing off their flags change nothing).
+  bool ReplaysAsProbe(const JobRuntime& job) const;
+  /// The entry that re-covers lost work of `job` (see ReplaysAsProbe); a
+  /// re-bind takes the job's next task index.
+  QueueEntry LostWorkEntry(JobRuntime& job);
+  /// A fresh queue entry for `job` (task_index matters for bound tasks).
+  QueueEntry MakeEntry(const JobRuntime& job, QueueEntry::Kind kind,
+                       std::uint32_t task_index = 0) const;
   /// Closes the in-service machine-seconds integral at the current time
   /// (call before in_service_count_ changes).
   void AccrueInService();
+  /// Forgets the worker's load signals (estimator, last E[W], CRV mark)
+  /// when what they summarized no longer describes the machine.
+  void ClearLoadSignals(WorkerState& worker);
   /// Re-dispatches an entry that lost its worker: probes are re-sent to a
   /// fresh satisfying target, bound tasks are re-bound least-loaded.
   /// `delay` is the transit time (bounces off still-failed destinations use
@@ -457,6 +492,9 @@ class SchedulerBase {
   /// Fabric delivery of an entry at `target` (the receiving half of
   /// SendEntry, also reached by duplicated copies exactly once).
   void DeliverEntry(cluster::MachineId target, QueueEntry entry);
+  /// Appends an arrived entry to the worker's queue with its load, SSS,
+  /// steal-hint, estimator, scheduler-hook and tenant accounting.
+  void EnqueueEntry(WorkerState& worker, const QueueEntry& entry);
   /// SendEntry exhausted its delivery attempts toward `target`.
   void GiveUpEntry(cluster::MachineId target, QueueEntry entry);
   /// A slot-holding fetch RPC exhausted its retries: release the slot and
@@ -480,14 +518,66 @@ class SchedulerBase {
   /// the centralized placement and failure re-binding paths.
   cluster::MachineId PickLeastLoadedLive(
       const std::vector<cluster::MachineId>& candidates, JobRuntime& job);
+  /// Every candidate is down: a fresh draw from the job's eligible pool
+  /// (counted in placement_dead_fallbacks).
+  cluster::MachineId DeadPoolFallback(JobRuntime& job);
+  /// The bind target among `candidates`: best vector fit under packing,
+  /// least-loaded live otherwise.
+  cluster::MachineId PickBindTarget(
+      const std::vector<cluster::MachineId>& candidates, JobRuntime& job);
+  /// Binds task `task_index` of `job` centrally: placement filter, bind
+  /// target, rack commitment, send. A target outside `home_shard` (when
+  /// given) makes an optimistic cross-shard bind (kFedBindSend).
+  void BindTask(JobRuntime& job, std::uint32_t task_index,
+                std::vector<cluster::MachineId> candidates,
+                std::uint32_t home_shard = federation::kNoShard);
+
+  // The worker loop's shared steps (single-slot and packed).
+
+  /// The discipline's pick, then the tenancy and EDF promotions (counted).
+  std::size_t PickNextIndex(WorkerState& worker);
+  /// Pops queue[index] to run it, snapshotting its starvation/preemption
+  /// state for the preemption policy.
+  QueueEntry PopToRun(WorkerState& worker, std::size_t index);
+  /// Holds the worker's control slot while the probe's task is fetched over
+  /// one RTT (late binding); resolves in ResolveProbe.
+  void FetchForProbe(WorkerState& worker, const QueueEntry& entry);
   void ResolveProbe(WorkerState& worker, QueueEntry entry);
+  /// A task starts on `worker` (either loop): power metering, restart-cost
+  /// and wait accounting, busy time. Returns the task's service duration.
+  double BeginTask(WorkerState& worker, JobRuntime& job,
+                   std::uint32_t task_index, double service_penalty);
   void StartService(WorkerState& worker, JobRuntime& job,
                     std::uint32_t task_index, double service_penalty = 0);
-  void FinishService(WorkerState& worker);
+  /// A task completion: the estimator, tenant usage, kTaskComplete, and the
+  /// job's done / DAG-release / malleable top-up tail.
+  void CompleteTask(WorkerState& worker, JobRuntime& job,
+                    std::uint32_t task_index, double duration);
+  /// The single-slot completion's slot hand-off: a sticky fetch of the
+  /// same job, or the next queued entry.
+  void FinishService(WorkerState& worker, JobRuntime& job);
+  /// Kill-and-requeue accounting of a preempted task (its slot or packed
+  /// run already stopped): PREEMPT_ISSUE, then a local requeue with the
+  /// modeled restart cost and PREEMPT_REQUEUE.
+  void RequeuePreempted(WorkerState& worker, JobRuntime& victim,
+                        std::uint32_t task_index, double elapsed,
+                        double remaining);
+
+  // Power metering (each a no-op without a power manager).
+
+  /// A task starts on `worker`: the ondemand P0 boost and exec metering
+  /// open when the machine was idle. Returns `duration` at the machine's
+  /// speed.
+  double MeterExecBegin(WorkerState& worker, double duration);
+  /// The machine stops executing: idle watts (kPowerState).
+  void MeterExecEnd(cluster::MachineId id);
+  /// A task of `job` finished: per-SLA-class exec-energy attribution, and
+  /// the exec meter closes when no packed run remains.
+  void MeterTaskEnd(const WorkerState& worker, const JobRuntime& job,
+                    double duration);
   /// One heartbeat of `shard`'s territory (shard 0 covers the whole fleet
   /// when federation is off); each shard runs its own tick chain.
   void HeartbeatTick(std::uint32_t shard);
-  void RecordTaskStart(JobRuntime& job, sim::SimTime start);
 
   // ---- Packing (all unreachable when packing_on_ is false) ----------------
 
@@ -510,10 +600,6 @@ class SchedulerBase {
   void ReleasePackedCapacity(WorkerState& worker,
                              const packing::ResourceVector& demand,
                              double copies, trace::JobId job);
-  /// The packed worker loop: starts every queued entry that fits the
-  /// residual vector (selection discipline first, then first-fit down the
-  /// queue), holding the control slot only for probe-resolution RTTs.
-  void PackedTryStart(WorkerState& worker);
   /// Starts one task as a packed run. `from_reserve` marks gang members
   /// whose capacity was already claimed at reservation time.
   void StartPackedRun(WorkerState& worker, JobRuntime& job,
@@ -555,6 +641,9 @@ class SchedulerBase {
   void RefreshMalleableWidths();
   /// Whole copies of the job's demand the bindable fleet could start now.
   std::uint32_t PackedFreeCopies(const JobRuntime& job) const;
+  /// Clamps a malleable job's width to [min_parallel, num_tasks], counting
+  /// malleable_min_hits when the floor binds.
+  std::uint32_t MalleableWidth(const JobRuntime& job, std::uint32_t width);
 
   // ---- Federation (all unreachable when federation_ is null) --------------
 
@@ -571,6 +660,15 @@ class SchedulerBase {
   /// offload); PlaceDistributed/PlaceCentralized branch to these.
   void PlaceDistributedFederated(JobRuntime& job);
   void PlaceCentralizedFederated(JobRuntime& job);
+  /// The job's target territory: `home`, or a peer picked for optimistic
+  /// offload from the gossiped view (counted in fed_offloads).
+  std::uint32_t PickTargetShard(std::uint32_t home);
+  /// Sends one probe of `job` to each target (the send tail shared by the
+  /// distributed placements); targets outside `home_shard`, when given,
+  /// count as cross-shard probes.
+  void SendProbes(JobRuntime& job,
+                  const std::vector<cluster::MachineId>& targets,
+                  std::uint32_t home_shard = federation::kNoShard);
 
   // ---- Tenancy (all no-ops / never called when tenancy_on_ is false) ------
 

@@ -20,6 +20,12 @@ struct Workload {
   std::size_t jobs;
 };
 
+// gtest lists each instance as "... # GetParam() = <printed param>". Its
+// default printer dumps the struct's bytes, std::string's heap pointer
+// included, so the test IDs changed on every run; print the profile instead
+// (every instance shares the node and job counts).
+void PrintTo(const Workload& w, std::ostream* os) { *os << w.profile; }
+
 class TraceSweepTest : public ::testing::TestWithParam<Workload> {
  protected:
   trace::Trace MakeTrace(double load = 0.85, std::uint64_t seed = 31) const {
