@@ -113,7 +113,11 @@ int main(int argc, char** argv) {
     const auto trace = bench::MakeTrace("google", so);
     const auto cl = bench::MakeCluster(so.nodes, so.seed);
     for (const auto& sched : schedulers) {
-      const auto rr = bench::Run(sched, trace, cl, so);
+      // A single-cell run writes its observability files untagged.
+      const bool one_cell = scales.size() * schedulers.size() == 1;
+      const auto rr = bench::Run(
+          sched, trace, cl, so,
+          one_cell ? "" : sched + "-" + std::to_string(scale));
       double wall = 0;
       std::uint64_t events = 0;
       std::size_t tasks = 0;

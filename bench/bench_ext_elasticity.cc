@@ -151,7 +151,8 @@ int main(int argc, char** argv) {
         ro.config.seed = o.seed;
         ro.config.net = o.net;
         ro.config.rpc = o.rpc;
-        ro.obs = o.obs;
+        ro.obs = o.obs.Tagged(sched + "-" + shape.name + "-reclaim" +
+                              util::StrFormat("%g", rate));
         ro.elastic.enabled = true;
         ro.elastic.base_machines = o.nodes;
         ro.elastic.reserve_machines = reserve;

@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
         ro.config.net = o.net;
         ro.config.rpc = o.rpc;
         if (sla_mix != "off") ro.config.tenancy = MakeSlaTenants();
-        ro.obs = o.obs;
+        ro.obs = o.obs.Tagged(sched + "-" + shape.name + "-" + policy);
         ro.power = MakePower(policy, o.power);
         const runner::RepeatedRuns runs(trace, cluster, ro, o.runs);
         Cell c;

@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
         ro.config.seed = o.seed;
         ro.config.net = o.net;
         ro.config.rpc = o.rpc;
-        ro.obs = o.obs;
+        ro.obs = o.obs.Tagged(util::StrFormat("shards%u-gossip%g%s", shards,
+                                              period, chaos ? "-chaos" : ""));
         ro.federation = o.federation;
         ro.federation.shards = shards;
         ro.federation.gossip_period = period;

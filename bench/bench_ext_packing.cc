@@ -133,7 +133,8 @@ int main(int argc, char** argv) {
       po.packing.gang_fraction = mix.gang_fraction;
       po.packing.malleable_fraction = mix.malleable_fraction;
       const auto trace = bench::MakeTrace("google", po);
-      const auto runs = bench::Run(sched, trace, cluster, po);
+      const auto runs =
+          bench::Run(sched, trace, cluster, po, sched + "-" + mix.name);
       Cell c;
       c.scheduler = sched;
       c.mix = mix.name;

@@ -101,7 +101,8 @@ int main(int argc, char** argv) {
         ro.config.net = o.net;
         ro.config.rpc = o.rpc;
         ro.config.tenancy = MakeTenants(preemption, slo_target);
-        ro.obs = o.obs;
+        ro.obs = o.obs.Tagged(sched + "-" + mix.name +
+                              (preemption ? "-preempt" : ""));
         const runner::RepeatedRuns runs(trace, cluster, ro, o.runs);
         Cell c;
         c.scheduler = sched;

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     }
     const auto trace = bench::MakeTrace(profile, opts);
     const auto cluster = bench::MakeCluster(opts.nodes, opts.seed);
-    const auto runs = bench::Run("eagle-c", trace, cluster, opts);
+    const auto runs = bench::Run("eagle-c", trace, cluster, opts, profile);
 
     auto at = [&](double p, metrics::ConstraintFilter kf) {
       return runs.MeanResponsePercentile(p, metrics::ClassFilter::kShort, kf);

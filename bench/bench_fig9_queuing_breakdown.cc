@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
 
   const auto trace = bench::MakeTrace("google", o);
   const auto cluster = bench::MakeCluster(o.nodes, o.seed);
-  const auto phoenix_runs = bench::Run("phoenix", trace, cluster, o);
-  const auto eagle_runs = bench::Run("eagle-c", trace, cluster, o);
+  const auto phoenix_runs = bench::Run("phoenix", trace, cluster, o, "phoenix");
+  const auto eagle_runs = bench::Run("eagle-c", trace, cluster, o, "eagle-c");
 
   util::TextTable table(
       {"slice", "pct", "Phoenix", "Eagle-C", "Eagle-C / Phoenix"});

@@ -15,7 +15,9 @@
 //   --trace-jsonl=F  newline-delimited JSON event stream
 //   --timeseries=F   per-heartbeat worker TSV (+ F.crv for Phoenix runs)
 //   --audit          run the invariant auditor; abort on any violation
-// Multi-seed runs suffix each output file with ".seed<N>".
+// Benches that run several cells tag each cell's files with its label
+// ("ev.jsonl" -> "ev.phoenix-gang.jsonl"); multi-seed runs then suffix each
+// with ".seed<N>" ("ev.phoenix-gang.seed42.jsonl").
 //
 // Control-plane fabric (see EXPERIMENTS.md "The network fabric"):
 //   --net-model=M    constant | uniform | lognormal | empirical
@@ -339,17 +341,20 @@ inline cluster::Cluster MakeCluster(std::size_t nodes, std::uint64_t seed) {
   return cluster::BuildCluster({.num_machines = nodes, .seed = seed});
 }
 
-/// Multi-seed run of one scheduler over a fixed trace/cluster.
+/// Multi-seed run of one scheduler over a fixed trace/cluster. A bench that
+/// runs several cells names each one with `cell`, which tags the cell's
+/// observability files so no cell reopens (and truncates) another's.
 inline runner::RepeatedRuns Run(const std::string& scheduler,
                                 const trace::Trace& t,
                                 const cluster::Cluster& cl,
-                                const BenchOptions& o) {
+                                const BenchOptions& o,
+                                const std::string& cell = "") {
   runner::RunOptions ro;
   ro.scheduler = scheduler;
   ro.config.seed = o.seed;
   ro.config.net = o.net;
   ro.config.rpc = o.rpc;
-  ro.obs = o.obs;
+  ro.obs = o.obs.Tagged(cell);
   ro.federation = o.federation;
   ro.power = o.power;
   ro.config.packing = o.packing;

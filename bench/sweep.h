@@ -63,7 +63,9 @@ inline void RunNormalizedSweep(const std::string& profile,
   std::vector<std::optional<runner::RepeatedRuns>> cells(2 * mults.size());
   runner::ParallelExperimentLoop(cells.size(), [&](std::size_t i) {
     const auto& scheduler = (i % 2 == 0) ? treatment : baseline;
-    cells[i].emplace(Run(scheduler, trace, clusters[i / 2], opts));
+    cells[i].emplace(Run(scheduler, trace, clusters[i / 2], opts,
+                         util::StrFormat("%s-%s-x%g", profile.c_str(),
+                                         scheduler.c_str(), mults[i / 2])));
   });
 
   // Join done: emit the table and TSV serially, in grid order.

@@ -30,13 +30,19 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
   --timeseries="$SMOKE_DIR/hb.tsv" >/dev/null
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - "$SMOKE_DIR/trace.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    records = json.load(f)
-assert isinstance(records, list) and records, "empty chrome trace"
-assert any(r.get("ph") == "X" for r in records), "no task slices"
-print(f"chrome trace ok: {len(records)} records")
+  # The sweep runs many cells; each writes its own trace.<cell>.json.
+  python3 - "$SMOKE_DIR" <<'EOF'
+import glob, json, os, sys
+paths = sorted(glob.glob(os.path.join(sys.argv[1], "trace.*.json")))
+assert paths, "no per-cell chrome traces"
+total = 0
+for path in paths:
+    with open(path) as f:
+        records = json.load(f)
+    assert isinstance(records, list) and records, f"empty chrome trace {path}"
+    assert any(r.get("ph") == "X" for r in records), f"no task slices {path}"
+    total += len(records)
+print(f"chrome traces ok: {len(paths)} cells, {total} records")
 EOF
 else
   echo "python3 not found; skipped chrome trace JSON validation"

@@ -1,6 +1,8 @@
 #include "core/phoenix.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "power/manager.h"
 
@@ -118,25 +120,34 @@ void PhoenixScheduler::OnHeartbeat(MachineId lo, MachineId hi) {
     RefreshShardCrv(federation()->shard_of(lo));
   }
   const bool ideal_net = fabric().FastPath();
+  std::vector<std::pair<MachineId, double>> report;
+  if (!ideal_net) report.reserve(hi - lo);
   bool any_marked = false;
   for (MachineId i = lo; i < hi; ++i) {
     WorkerState& w = worker(i);
     const double estimate = w.estimator.EstimateWait();
     if (ideal_net) {
       ApplyWaitReport(w, estimate);
-    } else {
-      // Worker-side E[W] reports transit the fabric to the CRV monitor as
-      // unreliable datagrams (the next tick supersedes them, so no retry):
-      // a dropped or delayed report leaves the previous, stale estimate
-      // steering probe placement until the next heartbeat lands.
-      fabric().Send(w.id, net::kControllerNode,
-                    net::MessageKind::kHeartbeatReport, one_way(),
-                    [this, wid = w.id, estimate] {
-                      ApplyWaitReport(worker(wid), estimate);
-                      return true;
-                    });
+    } else if (!fabric().Severed(w.id, net::kControllerNode)) {
+      // A worker cut off from the controller cannot reach the territory's
+      // aggregate either: its previous estimate stays in force.
+      report.emplace_back(w.id, estimate);
     }
     any_marked = any_marked || w.crv_marked;
+  }
+  if (!ideal_net) {
+    // The territory's E[W] reports transit the fabric to the CRV monitor as
+    // one unreliable datagram from its endpoint, machine lo (the next tick
+    // supersedes it, so no retry): a dropped or delayed aggregate leaves
+    // the whole territory's previous, stale estimates steering probe
+    // placement until the next heartbeat lands.
+    fabric().Send(lo, net::kControllerNode, net::MessageKind::kHeartbeatReport,
+                  one_way(), [this, report = std::move(report)] {
+                    for (const auto& [wid, estimate] : report) {
+                      ApplyWaitReport(worker(wid), estimate);
+                    }
+                    return true;
+                  });
   }
   // The tick's own table: the global snapshot unsharded, the refreshed
   // shard belief under federation.

@@ -108,9 +108,10 @@ class PhoenixScheduler : public sched::EagleScheduler {
 
   /// Lands one worker's heartbeat E[W] report at the CRV monitor: refreshes
   /// the published wait estimate and the CRV reorder mark. Under the ideal
-  /// fabric this is applied synchronously at the tick; otherwise each
-  /// report transits the fabric, so drops/delays leave stale estimates —
-  /// the eventual-consistency failure mode the netplane bench studies.
+  /// fabric this is applied synchronously at the tick; otherwise the tick's
+  /// territory sends its reports as one aggregate over the fabric, so a
+  /// drop/delay leaves the whole territory's estimates stale — the
+  /// eventual-consistency failure mode the netplane bench studies.
   void ApplyWaitReport(sched::WorkerState& w, double estimate);
 
   static constexpr std::size_t kMaxHistory = 4096;

@@ -17,8 +17,8 @@
 
 namespace phoenix::runner {
 
-std::string SeedSuffixedPath(const std::string& path, std::uint64_t seed) {
-  const std::string suffix = ".seed" + std::to_string(seed);
+std::string TaggedPath(const std::string& path, const std::string& tag) {
+  const std::string suffix = "." + tag;
   const std::size_t slash = path.find_last_of('/');
   const std::size_t dot = path.find_last_of('.');
   if (dot == std::string::npos ||
@@ -26,6 +26,20 @@ std::string SeedSuffixedPath(const std::string& path, std::uint64_t seed) {
     return path + suffix;
   }
   return path.substr(0, dot) + suffix + path.substr(dot);
+}
+
+std::string SeedSuffixedPath(const std::string& path, std::uint64_t seed) {
+  return TaggedPath(path, "seed" + std::to_string(seed));
+}
+
+ObsOptions ObsOptions::Tagged(const std::string& tag) const {
+  ObsOptions tagged = *this;
+  if (tag.empty()) return tagged;
+  for (std::string* path :
+       {&tagged.trace_chrome, &tagged.trace_jsonl, &tagged.timeseries_tsv}) {
+    if (!path->empty()) *path = TaggedPath(*path, tag);
+  }
+  return tagged;
 }
 
 metrics::SimReport RunSimulation(const trace::Trace& trace,
@@ -170,20 +184,11 @@ RepeatedRuns::RepeatedRuns(const trace::Trace& trace,
   ParallelExperimentLoop(runs, [&](std::size_t i) {
     RunOptions run_options = options;
     run_options.config.seed = base_seed + i;
-    if (runs > 1 && run_options.obs.enabled()) {
+    if (runs > 1) {
       // One observability file set per seed: concurrent runs must not
       // interleave into a shared stream.
-      ObsOptions& o = run_options.obs;
-      const std::uint64_t seed = run_options.config.seed;
-      if (!o.trace_chrome.empty()) {
-        o.trace_chrome = SeedSuffixedPath(o.trace_chrome, seed);
-      }
-      if (!o.trace_jsonl.empty()) {
-        o.trace_jsonl = SeedSuffixedPath(o.trace_jsonl, seed);
-      }
-      if (!o.timeseries_tsv.empty()) {
-        o.timeseries_tsv = SeedSuffixedPath(o.timeseries_tsv, seed);
-      }
+      run_options.obs = options.obs.Tagged(
+          "seed" + std::to_string(run_options.config.seed));
     }
     reports_[i] = RunSimulation(trace, cluster, run_options);
   });

@@ -34,6 +34,11 @@ struct ObsOptions {
     return audit || !trace_chrome.empty() || !trace_jsonl.empty() ||
            !timeseries_tsv.empty();
   }
+
+  /// The same outputs with every path passed through TaggedPath, so runs
+  /// that would otherwise share (and truncate) one file each get their own.
+  /// An empty tag returns the outputs unchanged.
+  ObsOptions Tagged(const std::string& tag) const;
 };
 
 struct RunOptions {
@@ -58,6 +63,10 @@ struct RunOptions {
   /// and are byte-identical to a build without src/power.
   power::PowerConfig power;
 };
+
+/// "out.json" + "gang" -> "out.gang.json"; a path without an extension
+/// gets the tag appended ("out" -> "out.gang").
+std::string TaggedPath(const std::string& path, const std::string& tag);
 
 /// "out.json" + seed 43 -> "out.seed43.json" (multi-seed runs write one
 /// observability file per seed so concurrent runs never share a stream).

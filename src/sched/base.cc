@@ -1626,8 +1626,11 @@ void SchedulerBase::ResolveProbe(WorkerState& worker, QueueEntry entry) {
     if (packing_on_ && !job.demand.FitsIn(worker.residual)) {
       // Capacity moved while the fetch transited: the resolved slot cannot
       // host the demand any more. Re-cover the probe elsewhere (not a
-      // failure — compensate RedispatchEntry's counter).
+      // failure — compensate RedispatchEntry's counter). The stream closes
+      // the replaced probe as a bounce so its send balances; the counters
+      // keep this a fit rejection.
       ++counters_.pack_fit_rejections;
+      Emit(EventType::kProbeBounce, job.id, worker.id);
       worker.busy = false;
       RedispatchEntry(entry, one_way());
       --counters_.tasks_rescheduled_failure;

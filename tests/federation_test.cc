@@ -18,6 +18,7 @@
 #include "federation/shard_map.h"
 #include "net/fabric.h"
 #include "obs/audit.h"
+#include "obs/event.h"
 #include "runner/experiment.h"
 #include "runner/parallel.h"
 #include "sim/engine.h"
@@ -295,11 +296,13 @@ TEST(Federation, TwoShardAuditedRunGossipsAndStaysClean) {
   report.CheckInvariants();
 }
 
-// Exposes the protected fabric so the test can cut the gossip links mid-run.
+// Exposes the protected fabric so the test can cut links mid-run, and the
+// worker states so it can watch their published E[W] estimates.
 class OpenPhoenix : public core::PhoenixScheduler {
  public:
   using core::PhoenixScheduler::PhoenixScheduler;
   using sched::SchedulerBase::fabric;
+  using sched::SchedulerBase::worker;
 };
 
 TEST(Federation, PartitionedGossipEndpointsDegradeButStayClean) {
@@ -331,6 +334,115 @@ TEST(Federation, PartitionedGossipEndpointsDegradeButStayClean) {
   EXPECT_GT(sched.fabric().stats().partition_drops, 0u);
   EXPECT_GT(sched.federation()->stats().digests_published, 0u);
   sched.BuildReport().CheckInvariants();
+}
+
+// Counts the fabric's kMsgSend events of one message kind.
+class SendCounter : public obs::EventSink {
+ public:
+  explicit SendCounter(net::MessageKind kind) : kind_(kind) {}
+  void OnEvent(const obs::Event& event) override {
+    if (event.type == obs::EventType::kMsgSend &&
+        event.task == static_cast<std::uint32_t>(kind_)) {
+      ++sends;
+    }
+  }
+  std::uint64_t sends = 0;
+
+ private:
+  net::MessageKind kind_;
+};
+
+sched::SchedulerConfig LognormalConfig(double drop_rate) {
+  sched::SchedulerConfig cfg;
+  cfg.seed = 19;
+  cfg.net.model = net::LatencyModel::kLognormal;
+  cfg.net.drop_rate = drop_rate;
+  return cfg;
+}
+
+TEST(Federation, LossyPhoenixSendsOneHeartbeatReportPerShardTick) {
+  // Each shard tick ships its territory's E[W] estimates as one aggregate
+  // datagram, never one per worker.
+  const auto cl = MakeFleet(40);
+  const auto t = MakeTrace(400, 40);
+  sim::Engine engine;
+  OpenPhoenix sched(engine, cl, LognormalConfig(0.01));
+  SendCounter reports(net::MessageKind::kHeartbeatReport);
+  sched.AttachSink(&reports);
+  FederationConfig fed;
+  fed.shards = 4;
+  sched.EnableFederation(fed);
+  sched.SubmitTrace(t);
+  engine.Run();
+  EXPECT_TRUE(sched.AllJobsDone());
+  const auto report = sched.BuildReport();
+  EXPECT_GT(report.counters.heartbeats, 4u);
+  EXPECT_EQ(reports.sends, report.counters.heartbeats);
+}
+
+// Runs a two-shard lossless lognormal fleet (shard 1 owns [12, 24)) to
+// t=20, overwrites every published E[W] estimate with -1 (no report can
+// carry a negative wait), cuts `severed` off for the shard tick at t=27,
+// and returns the estimates just after that tick's aggregates land.
+struct CutTick {
+  std::vector<double> estimates;
+  std::uint64_t partition_drops = 0;  // by the time the aggregates land
+};
+
+CutTick EstimatesAfterCutTick(const std::vector<cluster::MachineId>& severed) {
+  const auto cl = MakeFleet(24);
+  const auto t = MakeTrace(480, 24);
+  sim::Engine engine;
+  OpenPhoenix sched(engine, cl, LognormalConfig(0.0));
+  FederationConfig fed;
+  fed.shards = 2;
+  sched.EnableFederation(fed);
+  sched.SubmitTrace(t);
+  engine.ScheduleAfter(20.0, [&sched, &severed] {
+    for (cluster::MachineId m = 0; m < 24; ++m) {
+      sched.worker(m).last_wait_estimate = -1;
+    }
+    sched.fabric().Partition(severed, 10.0);
+  });
+  engine.Run(28.0);
+  EXPECT_FALSE(sched.AllJobsDone()) << "the run must outlast the cut tick";
+  CutTick cut;
+  for (cluster::MachineId m = 0; m < 24; ++m) {
+    cut.estimates.push_back(sched.worker(m).last_wait_estimate);
+  }
+  cut.partition_drops = sched.fabric().stats().partition_drops;
+  engine.Run();
+  EXPECT_TRUE(sched.AllJobsDone());
+  return cut;
+}
+
+TEST(Federation, SeveredWorkerKeepsItsStaleEstimateWhileMatesUpdate) {
+  // Worker 15 (shard 1, not its endpoint) is cut off from the controller:
+  // its estimate stays out of the aggregate, the rest of the fleet updates.
+  const auto estimates = EstimatesAfterCutTick({15}).estimates;
+  for (cluster::MachineId m = 0; m < 24; ++m) {
+    if (m == 15) {
+      EXPECT_EQ(estimates[m], -1) << "severed worker " << m;
+    } else {
+      EXPECT_GE(estimates[m], 0) << "worker " << m;
+    }
+  }
+}
+
+TEST(Federation, SeveredEndpointLeavesItsWholeTerritoryStale) {
+  // Shard 1's endpoint (machine 12) is cut off: the fabric drops the
+  // territory's aggregate, so all of [12, 24) keeps its stale estimate for
+  // the tick while shard 0's territory updates.
+  ASSERT_EQ(ShardMap(24, 2).endpoint(1), 12u);
+  const auto cut = EstimatesAfterCutTick({12});
+  EXPECT_GT(cut.partition_drops, 0u);
+  for (cluster::MachineId m = 0; m < 24; ++m) {
+    if (m >= 12) {
+      EXPECT_EQ(cut.estimates[m], -1) << "shard 1 worker " << m;
+    } else {
+      EXPECT_GE(cut.estimates[m], 0) << "shard 0 worker " << m;
+    }
+  }
 }
 
 // Full-precision digest: two digests match iff the runs were bit-identical.

@@ -6,6 +6,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -152,6 +153,46 @@ TEST(Obs, SeedSuffixedPath) {
   EXPECT_EQ(runner::SeedSuffixedPath("dir.v2/out", 7), "dir.v2/out.seed7");
   EXPECT_EQ(runner::SeedSuffixedPath("dir.v2/out.tsv", 7),
             "dir.v2/out.seed7.tsv");
+}
+
+TEST(Obs, TaggedPathAndTaggedOptions) {
+  EXPECT_EQ(runner::TaggedPath("ev.jsonl", "phoenix-gang"),
+            "ev.phoenix-gang.jsonl");
+  EXPECT_EQ(runner::TaggedPath("dir.v2/out", "x1.15"), "dir.v2/out.x1.15");
+  runner::ObsOptions o;
+  o.trace_jsonl = "ev.jsonl";
+  o.timeseries_tsv = "hb.tsv";
+  o.audit = true;
+  const runner::ObsOptions tagged = o.Tagged("cell");
+  EXPECT_EQ(tagged.trace_jsonl, "ev.cell.jsonl");
+  EXPECT_EQ(tagged.timeseries_tsv, "hb.cell.tsv");
+  EXPECT_TRUE(tagged.trace_chrome.empty());  // unset outputs stay unset
+  EXPECT_TRUE(tagged.audit);
+  EXPECT_EQ(o.Tagged("").trace_jsonl, "ev.jsonl");
+}
+
+TEST(Obs, MultiCellBenchWritesOneStreamPerCell) {
+  // bench_ext_packing runs 2 schedulers x 4 mixes: each cell must keep its
+  // own complete stream instead of reopening (and truncating) a shared one.
+  const std::string path = TempPath("cells.jsonl");
+  const std::string cmd = std::string(PHOENIX_BENCH_DIR) +
+                          "/bench_ext_packing --nodes=24 --jobs=300 "
+                          "--runs=1 --threads=1 --trace-jsonl=" +
+                          path + " > /dev/null";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  EXPECT_FALSE(std::ifstream(path).good());
+  for (const char* sched : {"phoenix", "eagle-c"}) {
+    for (const char* mix : {"plain", "gang", "malleable", "mixed"}) {
+      const std::string cell =
+          runner::TaggedPath(path, std::string(sched) + "-" + mix);
+      std::size_t arrivals = 0;
+      for (const auto& line : Lines(Slurp(cell))) {
+        arrivals += line.find("\"job_arrival\"") != std::string::npos;
+      }
+      EXPECT_EQ(arrivals, 300u) << cell;
+      std::remove(cell.c_str());
+    }
+  }
 }
 
 TEST(Obs, EventTypeNamesAreStableAndDistinct) {

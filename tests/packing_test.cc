@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/builder.h"
@@ -536,6 +538,38 @@ TEST(PackedRun, InfeasibleGangDegradesInsteadOfSpinning) {
   const auto r = runner::RunSimulation(t, cl, o);
   EXPECT_EQ(r.jobs.size(), t.size());
   EXPECT_GT(r.counters.gangs_degraded, 0u);
+}
+
+TEST(PackedRun, RefitRedispatchClosesTheReplacedProbe) {
+  // bench_ext_packing's default cells (--runs=1), audited. When capacity
+  // moves while a probe's fetch transits, the probe is re-sent elsewhere;
+  // the stream must close the replaced probe (a bounce) or the auditor's
+  // per-job probe balance leaks (eagle-c, mixed: job 2701 sent 11 probes
+  // against 10 closes).
+  const auto cl = MakeUniverse(96, 42);
+  for (const std::string sched : {"phoenix", "eagle-c"}) {
+    for (const auto& [gang, malleable] :
+         {std::pair{0.0, 0.0}, {0.15, 0.0}, {0.0, 0.15}, {0.15, 0.15}}) {
+      SCOPED_TRACE(sched + " gang=" + std::to_string(gang) +
+                   " malleable=" + std::to_string(malleable));
+      auto gen = trace::ProfileByName("google");
+      gen.num_jobs = 4800;
+      gen.num_workers = 96;
+      gen.target_load = 0.85;
+      gen.seed = 42;
+      gen.gang_fraction = gang;
+      gen.malleable_fraction = malleable;
+      gen.malleable_min_frac = packing::PackingConfig{}.malleable_min_frac;
+      const auto t = trace::GenerateTrace("google", gen);
+      auto o = PackedOptions();
+      o.scheduler = sched;
+      o.config.seed = 42;
+      o.config.packing.gang_fraction = gang;
+      o.config.packing.malleable_fraction = malleable;
+      const auto r = runner::RunSimulation(t, cl, o);  // aborts on a leak
+      EXPECT_EQ(r.jobs.size(), t.size());
+    }
+  }
 }
 
 TEST(PackedRun, BitIdenticalAcrossThreadCounts) {
