@@ -2,8 +2,6 @@
 // every workload shape, swept over load levels, burstiness and seeds.
 #include <gtest/gtest.h>
 
-#include <ostream>
-
 #include "cluster/builder.h"
 #include "runner/experiment.h"
 #include "runner/registry.h"
@@ -18,11 +16,6 @@ struct PropertyCase {
   double burst_factor;
   std::uint64_t seed;
 };
-
-// gtest's default printer dumps the struct's bytes, std::string's heap
-// pointer included, so the listed test IDs changed on every process start;
-// print the scheduler instead (the case name carries load, burst and seed).
-void PrintTo(const PropertyCase& c, std::ostream* os) { *os << c.scheduler; }
 
 std::string CaseName(const ::testing::TestParamInfo<PropertyCase>& info) {
   std::string n = info.param.scheduler + "_l" +
