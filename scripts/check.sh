@@ -4,7 +4,8 @@
 # elastic churn, multi-tenant preemption, network chaos, multi-shard
 # gossip, the power subsystem (audited diurnal energy run), packed
 # gang/malleable chaos, and DAG/deadline scheduling (audited chaos run +
-# golden-diff byte-identity with the gates off).
+# golden-diff byte-identity with the gates off), then the repository
+# benchmark's fingerprints and the core-throughput perf smoke.
 # Usage: scripts/check.sh [build-dir]   (default: build)
 set -euo pipefail
 
@@ -282,6 +283,11 @@ diff "$SMOKE_DIR/fig7.txt" tests/golden/fig7_nodes60_jobs1200.txt
 diff "$SMOKE_DIR/fig10.txt" tests/golden/fig10_nodes60_jobs1200.txt
 diff "$SMOKE_DIR/ext_affinity.txt" tests/golden/ext_affinity_nodes60_jobs1200.txt
 echo "golden-diff guard ok: fig7/fig10/ext_affinity byte-identical"
+
+echo "== benchmark identity =="
+# The repository benchmark builds from src/, passes its selftest, and
+# reproduces the committed per-cell fingerprints of every workload.
+scripts/perfbench_identity.sh
 
 echo "== perf smoke =="
 # Core-throughput gate: event counts must match the committed baseline

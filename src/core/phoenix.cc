@@ -19,7 +19,8 @@ PhoenixScheduler::PhoenixScheduler(sim::Engine& engine,
     : EagleScheduler(engine, cluster, config),
       monitor_(cluster),
       admission_(cluster, config.crv_threshold, config.soft_relax_penalty,
-                 config.phoenix_max_relaxations) {}
+                 config.phoenix_max_relaxations),
+      reported_marks_(cluster.size()) {}
 
 void PhoenixScheduler::SetMembership(cluster::MembershipView* membership) {
   EagleScheduler::SetMembership(membership);
@@ -48,8 +49,31 @@ void PhoenixScheduler::AdmitJob(JobRuntime& job) {
 }
 
 void PhoenixScheduler::ApplyWaitReport(WorkerState& w, double estimate) {
+  ++counters().wait_reports_applied;
   w.last_wait_estimate = estimate;
   w.crv_marked = CongestedFor(w.id) && estimate > config().qwait_threshold;
+  if (w.crv_marked) {
+    reported_marks_.Set(w.id);
+  } else {
+    reported_marks_.Reset(w.id);
+  }
+}
+
+void PhoenixScheduler::RepublishWaitEstimates(std::uint32_t territory,
+                                              MachineId lo, MachineId hi,
+                                              bool cong) {
+  util::Bitset& changed = wait_inputs_changed();
+  const auto apply = [this](std::size_t i) {
+    WorkerState& w = worker(static_cast<MachineId>(i));
+    ApplyWaitReport(w, w.estimator.EstimateWait());
+  };
+  if ((republished_congested_[territory] != 0) != cong) {
+    for (MachineId i = lo; i < hi; ++i) apply(i);
+    republished_congested_[territory] = cong ? 1 : 0;
+  } else {
+    changed.ForEachSetBit(lo, hi, apply);
+  }
+  changed.ResetRange(lo, hi);
 }
 
 void PhoenixScheduler::RefreshShardCrv(std::uint32_t shard) {
@@ -119,40 +143,49 @@ void PhoenixScheduler::OnHeartbeat(MachineId lo, MachineId hi) {
     // from its live territory counters plus fresh gossiped peer digests.
     RefreshShardCrv(federation()->shard_of(lo));
   }
-  const bool ideal_net = fabric().FastPath();
-  std::vector<std::pair<MachineId, double>> report;
-  if (!ideal_net) report.reserve(hi - lo);
-  bool any_marked = false;
-  for (MachineId i = lo; i < hi; ++i) {
-    WorkerState& w = worker(i);
-    const double estimate = w.estimator.EstimateWait();
-    if (ideal_net) {
-      ApplyWaitReport(w, estimate);
-    } else if (!fabric().Severed(w.id, net::kControllerNode)) {
-      // A worker cut off from the controller cannot reach the territory's
-      // aggregate either: its previous estimate stays in force.
-      report.emplace_back(w.id, estimate);
-    }
-    any_marked = any_marked || w.crv_marked;
-  }
-  if (!ideal_net) {
-    // The territory's E[W] reports transit the fabric to the CRV monitor as
-    // one unreliable datagram from its endpoint, machine lo (the next tick
-    // supersedes it, so no retry): a dropped or delayed aggregate leaves
-    // the whole territory's previous, stale estimates steering probe
-    // placement until the next heartbeat lands.
-    fabric().Send(lo, net::kControllerNode, net::MessageKind::kHeartbeatReport,
-                  one_way(), [this, report = std::move(report)] {
-                    for (const auto& [wid, estimate] : report) {
-                      ApplyWaitReport(worker(wid), estimate);
-                    }
-                    return true;
-                  });
-  }
   // The tick's own table: the global snapshot unsharded, the refreshed
   // shard belief under federation.
   const CrvSnapshot& snap = SnapshotFor(lo);
   const bool cong = CongestedFor(lo);
+  bool any_marked = false;
+  if (fabric().FastPath()) {
+    const std::uint32_t territory =
+        federation() != nullptr ? federation()->shard_of(lo) : 0;
+    if (republished_congested_.empty()) {
+      republished_congested_.assign(
+          federation() != nullptr ? federation()->num_shards() : 1, 0);
+    }
+    RepublishWaitEstimates(territory, lo, hi, cong);
+    any_marked = cong && reported_marks_.AnyIn(lo, hi);
+  } else {
+    // The territory's E[W] reports transit the fabric to the CRV monitor as
+    // one unreliable datagram from its endpoint, machine lo (the next tick
+    // supersedes it, so no retry): a dropped or delayed aggregate leaves
+    // the whole territory's previous, stale estimates steering probe
+    // placement until the next heartbeat lands. Every estimate rides along,
+    // and the change bits stay set: only an ideal republish clears them.
+    std::vector<std::pair<MachineId, double>> report;
+    report.reserve(hi - lo);
+    for (MachineId i = lo; i < hi; ++i) {
+      const WorkerState& w = worker(i);
+      if (!fabric().Severed(w.id, net::kControllerNode)) {
+        // A worker cut off from the controller cannot reach the territory's
+        // aggregate either: its previous estimate stays in force.
+        report.emplace_back(w.id, w.estimator.EstimateWait());
+      }
+      any_marked = any_marked || w.crv_marked;
+    }
+    fabric().Send(lo, net::kControllerNode, net::MessageKind::kHeartbeatReport,
+                  one_way(), [this, report = std::move(report)] {
+                    for (const auto& [wid, estimate] : report) {
+                      ApplyWaitReport(worker(wid), estimate);
+                      // Landing off the tick, the report may be stale by the
+                      // next ideal republish, which must then re-apply it.
+                      wait_inputs_changed().Set(wid);
+                    }
+                    return true;
+                  });
+  }
   if (cong && any_marked) ++counters().crv_reorder_rounds;
   if (tracing()) {
     // Export the refreshed CRV_Lookup_Table row by row (dimension in the

@@ -25,6 +25,7 @@
 #include "core/admission.h"
 #include "core/crv.h"
 #include "sched/eagle.h"
+#include "util/bitset.h"
 
 namespace phoenix::core {
 
@@ -80,6 +81,10 @@ class PhoenixScheduler : public sched::EagleScheduler {
   void OnEntryDequeued(const sched::WorkerState& worker,
                        const sched::QueueEntry& entry) override;
 
+  /// The CRV table `wid`'s territory believes congested (the global flag
+  /// unsharded, its shard's reconstructed belief under federation).
+  bool CongestedFor(cluster::MachineId wid) const;
+
  private:
   /// True if the job's effective constraints touch the hottest dimension of
   /// `snap`.
@@ -98,7 +103,6 @@ class PhoenixScheduler : public sched::EagleScheduler {
   /// Refreshes shard's reconstructed global CRV table from the plane.
   void RefreshShardCrv(std::uint32_t shard);
   const CrvSnapshot& SnapshotFor(cluster::MachineId wid) const;
-  bool CongestedFor(cluster::MachineId wid) const;
   const CrvSnapshot& JobSnapshot(const sched::JobRuntime& job) const;
   bool JobCongested(const sched::JobRuntime& job) const;
   /// Per-constraint CRV delta of a queue transition in `wid`'s territory,
@@ -114,6 +118,14 @@ class PhoenixScheduler : public sched::EagleScheduler {
   /// eventual-consistency failure mode the netplane bench studies.
   void ApplyWaitReport(sched::WorkerState& w, double estimate);
 
+  /// The ideal-fabric republish of territory `territory` = [lo, hi) under
+  /// congestion flag `cong`: applies every worker's report when the flag
+  /// differs from the territory's last republish (every mark may move),
+  /// otherwise only the workers whose estimator inputs changed — every
+  /// other worker's last report is still exact. Clears their change bits.
+  void RepublishWaitEstimates(std::uint32_t territory, cluster::MachineId lo,
+                              cluster::MachineId hi, bool cong);
+
   static constexpr std::size_t kMaxHistory = 4096;
 
   CrvMonitor monitor_;
@@ -125,6 +137,14 @@ class PhoenixScheduler : public sched::EagleScheduler {
   /// federated heartbeat sizes them).
   std::vector<CrvSnapshot> shard_snapshots_;
   std::vector<std::uint8_t> shard_congested_;
+  /// Per worker, the CRV mark of its last applied report: a republish that
+  /// skips unchanged workers reads "is any worker of the territory marked"
+  /// here.
+  util::Bitset reported_marks_;
+  /// Per territory (one unsharded, one per shard), the congestion flag of
+  /// its last ideal-fabric republish; sized at the first heartbeat. Zero
+  /// initially, matching the unmarked workers.
+  std::vector<std::uint8_t> republished_congested_;
 };
 
 }  // namespace phoenix::core

@@ -59,6 +59,12 @@ enum class ConstraintFilter { kAll, kConstrained, kUnconstrained };
   X(std::uint64_t, tasks_admission_rejected)                                 \
   X(std::uint64_t, heartbeats)                                               \
   X(std::uint64_t, crv_reorder_rounds)                                       \
+  /* Heartbeat work: E[W] reports Phoenix applied at its CRV monitor (an     \
+     ideal-fabric tick applies only workers whose estimator inputs moved),   \
+     and steal sweeps that found no short probe queued anywhere and only     \
+     replayed their RNG draws. */                                            \
+  X(std::uint64_t, wait_reports_applied)                                     \
+  X(std::uint64_t, steal_sweeps_without_victims)                             \
   /* Spread-preference jobs that had to double up on a rack. */              \
   X(std::uint64_t, placement_spread_violations)                              \
   /* Colocate-preference tasks that landed off the job's anchor rack. */     \

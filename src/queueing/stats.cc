@@ -35,19 +35,24 @@ WindowedStats::WindowedStats(std::size_t window) : window_(window) {
 }
 
 void WindowedStats::Add(double x) {
-  samples_.push_back(x);
+  // The new sample is added before the evicted one is subtracted, so the
+  // running sums round exactly as a push-then-pop window's would.
   sum_ += x;
   sum_sq_ += x * x;
-  if (samples_.size() > window_) {
-    const double old = samples_.front();
-    samples_.pop_front();
-    sum_ -= old;
-    sum_sq_ -= old * old;
+  if (samples_.size() < window_) {
+    samples_.push_back(x);
+    return;
   }
+  const double old = samples_[oldest_];
+  samples_[oldest_] = x;
+  oldest_ = oldest_ + 1 == window_ ? 0 : oldest_ + 1;
+  sum_ -= old;
+  sum_sq_ -= old * old;
 }
 
 void WindowedStats::Clear() {
   samples_.clear();
+  oldest_ = 0;
   sum_ = 0.0;
   sum_sq_ = 0.0;
 }

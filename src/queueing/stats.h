@@ -2,8 +2,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
+#include <vector>
 
 namespace phoenix::queueing {
 
@@ -37,7 +37,8 @@ class RunningStats {
 /// Mean / second moment over the most recent `window` samples. Algorithm 1
 /// of the paper estimates λ and μ from "Avg(last serviced tasks)", i.e. a
 /// moving window rather than the full history, so estimates track load
-/// changes.
+/// changes. The samples live in a ring that grows up to the window and
+/// then overwrites its oldest slot, so an idle estimator holds no buffer.
 class WindowedStats {
  public:
   explicit WindowedStats(std::size_t window = 64);
@@ -53,7 +54,9 @@ class WindowedStats {
 
  private:
   std::size_t window_;
-  std::deque<double> samples_;
+  std::vector<double> samples_;
+  /// Slot of the oldest sample once the ring is full.
+  std::size_t oldest_ = 0;
   double sum_ = 0.0;
   double sum_sq_ = 0.0;
 };

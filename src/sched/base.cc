@@ -54,6 +54,7 @@ SchedulerBase::SchedulerBase(sim::Engine& engine,
     workers_.back().id = static_cast<MachineId>(i);
   }
   short_probe_counts_.assign(cluster.size(), 0);
+  wait_inputs_changed_.Resize(cluster.size(), true);
   long_busy_.assign(cluster.size(), 0);
   if (config_.packing.enabled) {
     packing_on_ = true;
@@ -127,6 +128,7 @@ void SchedulerBase::ClearLoadSignals(WorkerState& worker) {
   worker.estimator.Clear();
   worker.last_wait_estimate = 0;
   worker.crv_marked = false;
+  wait_inputs_changed_.Set(worker.id);
 }
 
 void SchedulerBase::ProvisionMachine(MachineId id, double warmup_delay) {
@@ -257,6 +259,7 @@ bool SchedulerBase::ParkMachine(MachineId id) {
   // elastic controller see "available, but at wake cost".
   ClearLoadSignals(w);
   w.estimator.SetWakePenalty(power_->WakePenalty(id));
+  wait_inputs_changed_.Set(id);
   w.steal_inflight = false;
   return true;
 }
@@ -426,6 +429,7 @@ void SchedulerBase::SubmitTrace(const trace::Trace& trace) {
       std::uint32_t servers = w.capacity.CopiesOf(mean_demand_);
       if (servers < 1) servers = 1;
       w.estimator.SetEffectiveServers(servers);
+      wait_inputs_changed_.Set(w.id);
       for (std::size_t d = 0; d < packing::kNumPackDims; ++d) {
         Emit(EventType::kPackCapacity, obs::kNoId,
              static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(d),
@@ -467,6 +471,7 @@ void SchedulerBase::SubmitTrace(const trace::Trace& trace) {
       if (power_->asleep(static_cast<MachineId>(i))) {
         workers_[i].estimator.SetWakePenalty(
             power_->WakePenalty(static_cast<MachineId>(i)));
+        wait_inputs_changed_.Set(i);
       }
     }
   }
@@ -1394,8 +1399,10 @@ void SchedulerBase::EnqueueEntry(WorkerState& worker, const QueueEntry& entry) {
     RefreshLongBusy(worker);
   } else if (entry.kind == QueueEntry::Kind::kProbe && entry.short_class) {
     ++short_probe_counts_[worker.id];
+    ++queued_short_probes_;
   }
   worker.estimator.OnArrival(engine_.Now());
+  wait_inputs_changed_.Set(worker.id);
   OnEntryEnqueued(worker, entry);
   if (tenancy_on_) TenantQueuedDelta(entry, +1);
 }
@@ -1479,6 +1486,7 @@ QueueEntry SchedulerBase::RemoveQueueAt(WorkerState& worker,
     // Saturating, like est_queued_work above: white-box tests stuff queues
     // directly without going through DeliverEntry's accounting.
     --short_probe_counts_[worker.id];
+    --queued_short_probes_;
   }
   OnEntryDequeued(worker, entry);
   if (tenancy_on_) TenantQueuedDelta(entry, -1);
@@ -1752,6 +1760,7 @@ void SchedulerBase::CompleteTask(WorkerState& worker, JobRuntime& job,
                                  std::uint32_t task_index, double duration) {
   const sim::SimTime now = engine_.Now();
   worker.estimator.OnServiceComplete(duration);
+  wait_inputs_changed_.Set(worker.id);
   if (tenancy_on_ && tenants_.Known(job.tenant)) {
     tenants_.state(job.tenant).usage_seconds += duration;
   }
@@ -1818,9 +1827,8 @@ void SchedulerBase::FinishService(WorkerState& worker, JobRuntime& job) {
 }
 
 bool SchedulerBase::TryStealFor(WorkerState& worker) {
-  if (worker.steal_inflight) return false;
-  // A draining (or not-yet-commissioned) thief must not pull new work in.
-  if (!Bindable(worker.id)) return false;
+  // Checked before any draw: a thief that may not steal consumes no RNG.
+  if (!CanSteal(worker)) return false;
   const cluster::Machine& self = cluster_.machine(worker.id);
   for (std::size_t attempt = 0; attempt < config_.steal_candidates; ++attempt) {
     const auto victim_id =
@@ -1849,6 +1857,28 @@ bool SchedulerBase::TryStealFor(WorkerState& worker) {
     }
   }
   return false;
+}
+
+void SchedulerBase::StealSweep(MachineId lo, MachineId hi) {
+  if (queued_short_probes_ > 0) {
+    for (MachineId i = lo; i < hi; ++i) {
+      WorkerState& w = workers_[i];
+      if (!w.busy && w.queue.empty()) TryStealFor(w);
+    }
+    return;
+  }
+  // Every victim's count hint reads zero, so each attempt TryStealFor would
+  // make ends at its victim draw: count the thieves it would let draw and
+  // make exactly those draws, in the same order.
+  ++counters_.steal_sweeps_without_victims;
+  std::size_t draws = 0;
+  for (MachineId i = lo; i < hi; ++i) {
+    const WorkerState& w = workers_[i];
+    if (!w.busy && w.queue.empty() && CanSteal(w)) {
+      draws += config_.steal_candidates;
+    }
+  }
+  for (; draws > 0; --draws) rng_.NextBounded(workers_.size());
 }
 
 // ---- Multi-resource packing (src/packing) ---------------------------------

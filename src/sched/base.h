@@ -296,6 +296,19 @@ class SchedulerBase {
   /// this worker satisfies. Returns true if a steal is in flight.
   bool TryStealFor(WorkerState& worker);
 
+  /// The heartbeat steal retry over workers [lo, hi): every idle worker
+  /// with an empty queue attempts a steal (TryStealFor). While no short
+  /// probe is queued anywhere no attempt can succeed, so the sweep only
+  /// replays the attempts' victim draws: the RNG ends where the attempts
+  /// would have left it, and every later decision stays identical.
+  void StealSweep(cluster::MachineId lo, cluster::MachineId hi);
+
+  /// One bit per worker, set wherever an input of its EstimateWait() moves
+  /// (arrival, completion, cleared load signals, wake penalty, server
+  /// count) and cleared by whoever republishes the estimate. Starts all
+  /// set, so the first republish covers every worker.
+  util::Bitset& wait_inputs_changed() { return wait_inputs_changed_; }
+
   /// Applies the job's rack placement preference to a candidate list:
   /// spread drops racks the job already uses, colocate keeps the anchor
   /// rack — each only if at least one candidate survives (preferences are
@@ -477,6 +490,13 @@ class SchedulerBase {
   /// Forgets the worker's load signals (estimator, last E[W], CRV mark)
   /// when what they summarized no longer describes the machine.
   void ClearLoadSignals(WorkerState& worker);
+  /// The worker may attempt a steal: up, no steal already in flight, and
+  /// bindable (a draining or not-yet-commissioned thief must not pull new
+  /// work in; a failed one would only bounce the stolen probe). The one
+  /// predicate TryStealFor and StealSweep's draw-only pass share.
+  bool CanSteal(const WorkerState& worker) const {
+    return !worker.failed && !worker.steal_inflight && Bindable(worker.id);
+  }
   /// Re-dispatches an entry that lost its worker: probes are re-sent to a
   /// fresh satisfying target, bound tasks are re-bound least-loaded.
   /// `delay` is the transit time (bounces off still-failed destinations use
@@ -753,6 +773,11 @@ class SchedulerBase {
   /// scan — not the RNG draw — is skipped, keeping the draw sequence and
   /// thus every outcome bit-identical.
   std::vector<std::uint32_t> short_probe_counts_;
+  /// Sum of short_probe_counts_, moved wherever an entry of it moves. Zero
+  /// means no steal attempt anywhere can find a victim (see StealSweep).
+  std::uint64_t queued_short_probes_ = 0;
+  /// See wait_inputs_changed().
+  util::Bitset wait_inputs_changed_;
   /// Dense parallel array: 1 while the worker holds long work (queued bound
   /// long task, or a running long task) — the SSS bit Eagle's probe
   /// rejection loop tests per candidate. See RefreshLongBusy.

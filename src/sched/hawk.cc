@@ -42,10 +42,7 @@ void HawkScheduler::OnWorkerIdle(WorkerState& worker) {
 
 void HawkScheduler::OnHeartbeat(cluster::MachineId lo,
                                 cluster::MachineId hi) {
-  for (cluster::MachineId i = lo; i < hi; ++i) {
-    WorkerState& w = worker(i);
-    if (!w.busy && w.queue.empty()) TryStealFor(w);
-  }
+  StealSweep(lo, hi);
 }
 
 }  // namespace phoenix::sched

@@ -270,10 +270,17 @@ using EntryQueue = std::deque<QueueEntry, util::ArenaAllocator<QueueEntry>>;
 /// packing the slot becomes a residual-capacity ledger plus a run list).
 struct WorkerState {
   cluster::MachineId id = cluster::kInvalidMachine;
-  EntryQueue queue;
-
+  // The heartbeat steal sweep tests these three flags (plus queue
+  // emptiness) on every worker of the tick, so they share the record's
+  // first cache line with the id instead of trailing the estimator.
   /// True while the slot is held: resolving a probe, fetching, or executing.
   bool busy = false;
+  /// A steal request is in flight (prevents steal storms).
+  bool steal_inflight = false;
+  /// Failure injection: machine is currently down.
+  bool failed = false;
+  EntryQueue queue;
+
   trace::JobId running_job = trace::kInvalidJob;
   std::uint32_t running_index = 0;
   sim::SimTime busy_until = 0;
@@ -294,9 +301,6 @@ struct WorkerState {
   /// Phoenix: marked for CRV-based reordering at the last heartbeat.
   bool crv_marked = false;
 
-  /// A steal request is in flight (prevents steal storms).
-  bool steal_inflight = false;
-
   /// Lifetime count of task executions started on this machine. The
   /// elasticity controller diffs it across a lease to detect warm-ups that
   /// never served anything (wasted-warm-up accounting).
@@ -310,8 +314,6 @@ struct WorkerState {
   /// When the running task started (elapsed service lost on a preemption).
   sim::SimTime running_start = 0;
 
-  /// Failure injection: machine is currently down.
-  bool failed = false;
   /// The cancellable in-flight event while the slot is held for a running
   /// task's completion. Slot-holding fetches use pending_call instead.
   std::uint64_t pending_event = 0;

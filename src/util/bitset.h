@@ -88,6 +88,36 @@ class Bitset {
     }
   }
 
+  /// Calls f(i) for every set bit i in [lo, hi), in ascending order.
+  template <typename F>
+  void ForEachSetBit(std::size_t lo, std::size_t hi, F&& f) const {
+    PHOENIX_DCHECK(lo <= hi && hi <= size_);
+    for (std::size_t w = lo >> 6; w < (hi + 63) >> 6; ++w) {
+      std::uint64_t word = words_[w] & RangeMask(w, lo, hi);
+      while (word != 0) {
+        f((w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
+        word &= word - 1;
+      }
+    }
+  }
+
+  /// Clears every bit in [lo, hi).
+  void ResetRange(std::size_t lo, std::size_t hi) {
+    PHOENIX_DCHECK(lo <= hi && hi <= size_);
+    for (std::size_t w = lo >> 6; w < (hi + 63) >> 6; ++w) {
+      words_[w] &= ~RangeMask(w, lo, hi);
+    }
+  }
+
+  /// True if any bit in [lo, hi) is set.
+  bool AnyIn(std::size_t lo, std::size_t hi) const {
+    PHOENIX_DCHECK(lo <= hi && hi <= size_);
+    for (std::size_t w = lo >> 6; w < (hi + 63) >> 6; ++w) {
+      if ((words_[w] & RangeMask(w, lo, hi)) != 0) return true;
+    }
+    return false;
+  }
+
   /// Returns a uniformly random set bit, or SIZE_MAX if the bitset is empty.
   ///
   /// Strategy: rejection-sample random positions while the hit rate is good;
@@ -116,6 +146,17 @@ class Bitset {
   }
 
  private:
+  // The bits of word `w` that fall inside [lo, hi), for a word the range
+  // touches (w << 6 < hi and lo < (w + 1) << 6).
+  static std::uint64_t RangeMask(std::size_t w, std::size_t lo,
+                                 std::size_t hi) {
+    const std::size_t base = w << 6;
+    std::uint64_t mask = ~0ULL;
+    if (lo > base) mask &= ~0ULL << (lo - base);
+    if (hi < base + 64) mask &= (1ULL << (hi - base)) - 1;
+    return mask;
+  }
+
   // Keeps bits beyond size_ zero so Count()/Any() stay exact.
   void ClearPadding() {
     if (size_ % 64 != 0 && !words_.empty()) {

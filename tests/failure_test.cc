@@ -5,6 +5,7 @@
 
 #include "cluster/builder.h"
 #include "core/phoenix.h"
+#include "obs/audit.h"
 #include "runner/experiment.h"
 #include "sched/central.h"
 #include "sched/eagle.h"
@@ -299,6 +300,48 @@ TEST(Failures, RepairResetsStaleCrvState) {
   EXPECT_FALSE(w.failed);
   EXPECT_EQ(w.last_wait_estimate, 0.0);
   EXPECT_FALSE(w.crv_marked);
+}
+
+// Counts steals, and those whose thief was down when it stole.
+class StealWatch : public obs::EventSink {
+ public:
+  explicit StealWatch(const sched::SchedulerBase& s) : s_(s) {}
+  void OnEvent(const obs::Event& event) override {
+    if (event.type != obs::EventType::kSteal) return;
+    ++steals;
+    if (s_.worker_state(event.machine).failed) ++by_failed_thieves;
+  }
+  std::uint64_t steals = 0;
+  std::uint64_t by_failed_thieves = 0;
+
+ private:
+  const sched::SchedulerBase& s_;
+};
+
+TEST(Failures, FailedIdleWorkerNeverSteals) {
+  // A failed machine's slot is idle and its queue drained, yet it can run
+  // nothing: a probe it stole would only bounce off it. Neither its idle
+  // hook nor the heartbeat sweep may let it steal.
+  const auto cl = cluster::BuildCluster({.num_machines = 40, .seed = 61});
+  const auto t = trace::GenerateGoogleTrace(1200, 40, 0.85, 61);
+  sim::Engine engine;
+  sched::SchedulerConfig cfg;
+  cfg.seed = 61;
+  cfg.machine_mtbf = 1500;
+  cfg.machine_mttr = 300;
+  sched::EagleScheduler sched(engine, cl, cfg);
+  obs::InvariantAuditor auditor;
+  sched.AttachAuditor(&auditor);
+  StealWatch watch(sched);
+  sched.AttachSink(&watch);
+  sched.SubmitTrace(t);
+  engine.Run();
+  sched.FinalAudit();
+  EXPECT_TRUE(auditor.ok()) << auditor.Summary();
+  EXPECT_TRUE(sched.AllJobsDone());
+  EXPECT_GT(sched.BuildReport().counters.machine_failures, 0u);
+  EXPECT_GT(watch.steals, 0u);
+  EXPECT_EQ(watch.by_failed_thieves, 0u);
 }
 
 TEST(Failures, InjectionIsIdempotent) {

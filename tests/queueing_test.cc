@@ -1,6 +1,8 @@
 // Unit tests for streaming statistics, distribution samplers and the
 // Pollaczek–Khinchine estimator (paper Equation 1).
+#include <algorithm>
 #include <cmath>
+#include <deque>
 
 #include <gtest/gtest.h>
 
@@ -81,6 +83,40 @@ TEST(WindowedStats, EmptyIsZero) {
   EXPECT_TRUE(w.empty());
   EXPECT_DOUBLE_EQ(w.mean(), 0.0);
   EXPECT_DOUBLE_EQ(w.second_moment(), 0.0);
+}
+
+TEST(WindowedStats, RingMatchesPushThenPopWindowBitForBit) {
+  // The reference is the grow-then-evict window the ring replaces: the new
+  // sample is added to the sums before the evicted one is subtracted, so
+  // every rounding step, and thus every moment, must agree exactly.
+  WindowedStats w(7);
+  std::deque<double> ref;
+  double sum = 0;
+  double sum_sq = 0;
+  util::Rng rng(11);
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 500; ++i) {
+      const double x = rng.Uniform(0.0, 1000.0);
+      w.Add(x);
+      ref.push_back(x);
+      sum += x;
+      sum_sq += x * x;
+      if (ref.size() > 7) {
+        sum -= ref.front();
+        sum_sq -= ref.front() * ref.front();
+        ref.pop_front();
+      }
+      const double n = static_cast<double>(ref.size());
+      ASSERT_EQ(w.count(), ref.size());
+      ASSERT_EQ(w.mean(), sum / n);
+      ASSERT_EQ(w.second_moment(), std::max(0.0, sum_sq / n));
+    }
+    w.Clear();
+    ref.clear();
+    sum = 0;
+    sum_sq = 0;
+    EXPECT_TRUE(w.empty());
+  }
 }
 
 TEST(WindowedStatsDeathTest, ZeroWindowAborts) {

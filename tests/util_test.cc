@@ -2,6 +2,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -545,6 +546,29 @@ TEST(Bitset, CollectSetBits) {
   std::vector<std::uint32_t> out;
   b.CollectSetBits(out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{5, 63, 64, 199}));
+}
+
+TEST(Bitset, RangeVisitResetAndAny) {
+  Bitset b(200);
+  for (const std::size_t i : {0, 5, 63, 64, 65, 127, 128, 150, 199}) b.Set(i);
+  const std::vector<std::pair<std::size_t, std::size_t>> ranges = {
+      {0, 200}, {0, 0}, {5, 5}, {1, 63}, {63, 65}, {64, 128}, {66, 127},
+      {100, 199}, {129, 150}, {199, 200}};
+  for (const auto& [lo, hi] : ranges) {
+    std::vector<std::size_t> want;
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (b.Test(i)) want.push_back(i);
+    }
+    std::vector<std::size_t> got;
+    b.ForEachSetBit(lo, hi, [&got](std::size_t i) { got.push_back(i); });
+    EXPECT_EQ(got, want) << lo << ".." << hi;
+    EXPECT_EQ(b.AnyIn(lo, hi), !want.empty()) << lo << ".." << hi;
+  }
+  Bitset c = b;
+  c.ResetRange(63, 129);
+  for (std::size_t i = 0; i < 200; ++i) {
+    EXPECT_EQ(c.Test(i), b.Test(i) && (i < 63 || i >= 129)) << i;
+  }
 }
 
 TEST(Bitset, SampleSetBitReturnsOnlySetBits) {
